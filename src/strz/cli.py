@@ -14,15 +14,11 @@ Exit codes:
        unsplittable partition, divergent schedule norm)
     5  verification failure (one or more acceptance criteria failed)
     6  I/O failure (missing files, malformed snapshots)
-
-The environment variable STRZ_THREADS caps internal parallelism (default 1).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -80,14 +76,6 @@ _NUMERICAL_ERRORS = (
 _IO_ERRORS = (SnapshotFormatError, OSError)
 
 
-def thread_count() -> int:
-    raw = os.environ.get("STRZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _exponent_arg(text: str) -> Exponent:
     try:
         return Exponent(text)
@@ -101,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments: Schrodinger evolution with "
         "mixed-norm potentials, standing waves and divergent cascades.",
         epilog="Exit codes: 0 success, 2 usage, 3 validation, 4 numerical "
-        "failure, 5 verification failure, 6 I/O failure. "
-        "STRZ_THREADS caps internal parallelism.",
+        "failure, 5 verification failure, 6 I/O failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -144,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cex.add_argument("--s", type=_exponent_arg, required=True)
     p_cex.add_argument("--n", type=int, required=True)
     p_cex.add_argument("--K", type=int, default=200)
-    p_cex.add_argument("--delta", type=float, default=None,
-                       help="unused for cascades; reserved for file naming")
     p_cex.add_argument("--pairs", default="2,6;8/3,4" , help="semicolon list, e.g. '2,6;8/3,4'")
     p_cex.add_argument("--grid-N", type=int, default=32)
     p_cex.add_argument("--grid-L", type=float, default=10.0)
@@ -353,13 +338,7 @@ def cmd_counterexample(args) -> int:
     else:
         params = default_params(kind, args.r, args.s, args.n)
     family = build_family(kind, args.r, args.s, args.n, W, u0, K=args.K, params=params)
-
-    workers = thread_count()
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            series = list(pool.map(lambda pq: ratio_series(family, *pq), pairs))
-    else:
-        series = [ratio_series(family, p, q) for p, q in pairs]
+    series = [ratio_series(family, p, q) for p, q in pairs]
 
     bundle = ResultBundle(out_dir=args.out, command="counterexample")
     bundle.write_csv(

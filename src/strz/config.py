@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 from .exponents import Exponent, ScheduleKind, ScheduleParams
 from .potentials import (
     PatchedRescaledPotential,
@@ -146,15 +146,6 @@ def parse_pairs(text: str) -> List[Tuple[Exponent, Exponent]]:
 # Potential spec <-> config
 
 
-_KIND_NAMES = {
-    ZeroPotential: "zero",
-    StaticPotential: "static",
-    PatchedRescaledPotential: "patched",
-    PseudoconformalPotential: "pseudoconformal",
-    SumPotential: "sum",
-}
-
-
 def potential_to_config(
     V: PotentialSpec,
     profile_path: Optional[str] = None,
@@ -162,32 +153,10 @@ def potential_to_config(
     extra: Optional[Dict[str, str]] = None,
 ) -> Dict[str, Dict[str, str]]:
     """Config sections describing a potential; profiles are referenced by
-    snapshot path (the caller is responsible for writing them)."""
-    kind = _KIND_NAMES[type(V)]
-    body: Dict[str, str] = {"kind": kind}
-    if extra:
-        body.update(extra)
-    sections = {section: body}
-    if isinstance(V, (StaticPotential, PseudoconformalPotential)):
-        if profile_path is None:
-            raise PreconditionError(f"{kind} potential needs a profile path")
-        body["profile"] = profile_path
-    elif isinstance(V, PatchedRescaledPotential):
-        if profile_path is None:
-            raise PreconditionError("patched potential needs a profile path")
-        body["profile"] = profile_path
-        sched = V.schedule
-        body["schedule"] = sched.kind.value
-        body["alpha"] = str(sched.params.alpha)
-        body["beta"] = str(sched.params.beta)
-        body["k"] = str(len(sched.windows))
-    elif isinstance(V, SumPotential):
-        for i, (term, r_j, s_j) in enumerate(V.terms, start=1):
-            sub = potential_to_config(term, profile_path, section=f"{section}.term{i}")
-            sub[f"{section}.term{i}"]["r"] = str(r_j)
-            sub[f"{section}.term{i}"]["s"] = str(s_j)
-            sections.update(sub)
-        body["terms"] = str(len(V.terms))
+    snapshot path (the caller is responsible for writing them).  Keys in
+    ``extra`` never override the ones describing the potential."""
+    sections = V.config_sections(section, profile_path)
+    sections[section] = {**(extra or {}), **sections[section]}
     return sections
 
 

@@ -44,7 +44,7 @@ from .potentials import (
     make_schedule,
 )
 from .solver import split_step_evolve
-from .spectral import ComplexField, Grid, _ksq, lq_norm, rescale_field
+from .spectral import ComplexField, Grid, _ksq, lq_norm, lq_norms, rescale_field, time_lp
 
 FamilyKind = ScheduleKind  # cascade kinds; the pseudoconformal family is separate
 
@@ -264,8 +264,7 @@ def window_crosscheck(
         probe_err = {"max": 0.0}
 
         def probe(t: float, vals: np.ndarray):
-            exact = np.exp(-1j * t) * u0.values
-            d = math.sqrt(float(np.sum(np.abs(vals - exact) ** 2)) * grid.cell_volume)
+            d = float(lq_norms(vals - np.exp(-1j * t) * u0.values, grid, 2))
             probe_err["max"] = max(probe_err["max"], d / u0_l2)
 
         rep = split_step_evolve(
@@ -395,12 +394,9 @@ def pseudoconformal_solution_norm_numeric(u0: ComplexField, p: ExponentLike,
         raise PreconditionError(f"pair ({p},{q}) is not usable here")
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    base = lq_norm(u0, q)
     a = float(n * q.reciprocal - Fraction(n, 2))
     ts = np.linspace(delta, 1.0, nt)
-    pf = float(p)
-    integrand = (base * ts**a) ** pf
-    return float(np.trapezoid(integrand, x=ts) ** (1.0 / pf))
+    return time_lp(lq_norm(u0, q) * ts**a, ts, p)
 
 
 def pseudoconformal_residual(W: ComplexField, u0: ComplexField, T: float) -> float:

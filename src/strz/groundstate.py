@@ -18,28 +18,20 @@ from .errors import ConvergenceError, EmptyConstraintError, PreconditionError
 from .spectral import ComplexField, Grid, _ksq, gaussian_field
 
 
-def _fftn(a):
-    return np.fft.fftn(a)
-
-
-def _ifftn(a):
-    return np.fft.ifftn(a)
-
-
 def helmholtz_apply(f: np.ndarray, grid: Grid) -> np.ndarray:
     """(-Lap + 1) f via the spectral Laplacian."""
-    return _ifftn((1.0 + _ksq(grid)) * _fftn(f))
+    return np.fft.ifftn((1.0 + _ksq(grid)) * np.fft.fftn(f))
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid) -> np.ndarray:
     """(-Lap + 1)^(-1) f via the spectral Laplacian."""
-    return _ifftn(_fftn(f) / (1.0 + _ksq(grid)))
+    return np.fft.ifftn(np.fft.fftn(f) / (1.0 + _ksq(grid)))
 
 
 def h1_norm_sq(f: ComplexField) -> float:
     """integral(|grad f|^2 + |f|^2) computed in Fourier space (Parseval)."""
     g = f.grid
-    hat = _fftn(f.values)
+    hat = np.fft.fftn(f.values)
     return float(np.sum((1.0 + _ksq(g)) * np.abs(hat) ** 2) * g.cell_volume / g.npoints)
 
 
@@ -134,7 +126,7 @@ def standing_wave_residual(W: ComplexField, u0: ComplexField) -> float:
 def spectral_decay(f: ComplexField, nbins: int = 8) -> np.ndarray:
     """Diagnostic: max |fhat| over radial frequency bins (smoothness proxy)."""
     grid = f.grid
-    hat = np.abs(_fftn(f.values))
+    hat = np.abs(np.fft.fftn(f.values))
     k = np.sqrt(_ksq(grid))
     kmax = k.max()
     out = np.empty(nbins)

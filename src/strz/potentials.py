@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,18 +29,25 @@ from .exponents import (
     as_exponent,
     validate_schedule_params,
 )
-from .spectral import ComplexField, Grid, Trajectory, lq_norm, rescale_field
+from .spectral import ComplexField, Grid, Trajectory, lq_norm, rescale_field, time_lp
 
 DEFAULT_DT = 1e-2
 
 Interval = Tuple[float, float]
+NormFunction = Callable[[float], float]
+ConfigSections = Dict[str, Dict[str, str]]
 
 
-def _check_interval(interval: Interval) -> Interval:
+def time_lattice(interval: Interval, dt: float) -> Tuple[np.ndarray, float]:
+    """The m + 1 uniform nodes a, a + h, ..., b with m = round((b - a) / dt)
+    (at least 1) steps of width h = (b - a) / m; the last node is exactly b."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError(f"interval must have positive length, got [{a}, {b}]")
-    return a, b
+    if not dt > 0:
+        raise PreconditionError("dt must be positive")
+    m = max(1, round((b - a) / dt))
+    return np.linspace(a, b, m + 1), (b - a) / m
 
 
 @dataclass(frozen=True)
@@ -127,58 +134,191 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
 
 # ---------------------------------------------------------------------------
 # Potential variants
+#
+# Every variant answers the same questions, so callers never branch on it:
+# ``kind`` (its config name), ``grid`` (its natural evaluation grid, None if
+# it has none), ``field_at`` (V(t) on a grid), ``norm_function``
+# (t -> ||V(t)||_s, exact per variant where possible), ``sample_key`` (the
+# key under which a sampled field may be cached, None for never) and
+# ``config_sections`` (its config description).
 
 
 @dataclass(frozen=True)
 class ZeroPotential:
-    pass
+    kind = "zero"
 
+    @property
+    def grid(self) -> Optional[Grid]:
+        return None
 
-def _check_real_profile(profile: ComplexField) -> None:
-    if np.abs(profile.values.imag).max() != 0.0:
-        raise PreconditionError("potential profiles must be real valued")
+    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+        return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+    def norm_function(self, s: Exponent, grid: Optional[Grid],
+                      mass_tol: Optional[float]) -> NormFunction:
+        return lambda t: 0.0
+
+    def sample_key(self, t: float) -> Hashable:
+        return "static"
+
+    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
+        return {section: {"kind": self.kind}}
 
 
 @dataclass(frozen=True)
-class StaticPotential:
+class ProfilePotential:
+    """Base of the variants built from one real profile W, evaluated on the
+    profile's own grid only."""
+
     profile: ComplexField
 
     def __post_init__(self):
-        _check_real_profile(self.profile)
+        if np.abs(self.profile.values.imag).max() != 0.0:
+            raise PreconditionError("potential profiles must be real valued")
+
+    @property
+    def grid(self) -> Optional[Grid]:
+        return self.profile.grid
+
+    def _check_grid(self, grid: Grid) -> None:
+        if self.profile.grid != grid:
+            raise PreconditionError(f"{self.kind} potential defined on a different grid")
+
+    def sample_key(self, t: float) -> Hashable:
+        return None
+
+    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
+        if profile_path is None:
+            raise PreconditionError(f"{self.kind} potential needs a profile path")
+        return {section: {"kind": self.kind, "profile": profile_path}}
 
 
 @dataclass(frozen=True)
-class PatchedRescaledPotential:
+class StaticPotential(ProfilePotential):
+    kind = "static"
+
+    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+        self._check_grid(grid)
+        return self.profile
+
+    def norm_function(self, s: Exponent, grid: Optional[Grid],
+                      mass_tol: Optional[float]) -> NormFunction:
+        base = lq_norm(self.profile, s)
+        return lambda t: base
+
+    def sample_key(self, t: float) -> Hashable:
+        return "static"
+
+
+@dataclass(frozen=True)
+class PatchedRescaledPotential(ProfilePotential):
     """V(t, x) = eps_k^2 W(eps_k x) inside window k, zero elsewhere."""
 
-    profile: ComplexField
+    kind = "patched"
+
     schedule: Schedule
 
     def __post_init__(self):
-        _check_real_profile(self.profile)
+        super().__post_init__()
         if self.schedule.n != self.profile.grid.n:
             raise PreconditionError("schedule dimension does not match profile grid")
 
+    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+        self._check_grid(grid)
+        w = self.schedule.window_at(t)
+        if w is None:
+            return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
+        scaled = rescale_field(self.profile, w.eps, mass_tol)
+        return ComplexField(grid, (w.eps**2) * scaled.values)
+
+    def norm_function(self, s: Exponent, grid: Optional[Grid],
+                      mass_tol: Optional[float]) -> NormFunction:
+        base = lq_norm(self.profile, s)
+        expo = 2.0 - self.profile.grid.n * float(s.reciprocal)
+
+        def patched(t: float) -> float:
+            w = self.schedule.window_at(t)
+            return 0.0 if w is None else base * w.eps**expo
+
+        return patched
+
+    def sample_key(self, t: float) -> Hashable:
+        w = self.schedule.window_at(t)
+        return ("window", None if w is None else w.k)
+
+    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
+        sections = super().config_sections(section, profile_path)
+        sched = self.schedule
+        sections[section].update(schedule=sched.kind.value, alpha=str(sched.params.alpha),
+                                 beta=str(sched.params.beta), k=str(len(sched.windows)))
+        return sections
+
 
 @dataclass(frozen=True)
-class PseudoconformalPotential:
+class PseudoconformalPotential(ProfilePotential):
     """V(T, X) = T^(-2) W(X / T), defined for T > 0."""
 
-    profile: ComplexField
+    kind = "pseudoconformal"
 
-    def __post_init__(self):
-        _check_real_profile(self.profile)
+    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+        self._check_grid(grid)
+        if t <= 0.0:
+            raise SingularityError(f"pseudoconformal potential is singular at T={t}")
+        scaled = rescale_field(self.profile, 1.0 / t, mass_tol)
+        return ComplexField(grid, scaled.values / t**2)
+
+    def norm_function(self, s: Exponent, grid: Optional[Grid],
+                      mass_tol: Optional[float]) -> NormFunction:
+        base = lq_norm(self.profile, s)
+        expo = self.profile.grid.n * float(s.reciprocal) - 2.0
+
+        def pseudo(t: float) -> float:
+            if t <= 0.0:
+                raise SingularityError(f"pseudoconformal potential is singular at T={t}")
+            return base * t**expo
+
+        return pseudo
 
 
 @dataclass(frozen=True)
 class SumPotential:
     """Sum of potentials, each tagged with its own (r_j, s_j)."""
 
+    kind = "sum"
+
     terms: Tuple[Tuple["PotentialSpec", Exponent, Exponent], ...]
 
     def __post_init__(self):
         if not self.terms:
             raise PreconditionError("sum potential needs at least one term")
+
+    @property
+    def grid(self) -> Optional[Grid]:
+        return next((term.grid for term, _, _ in self.terms if term.grid is not None), None)
+
+    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+        acc = np.zeros(grid.shape, dtype=np.complex128)
+        for term, _, _ in self.terms:
+            acc = acc + term.field_at(t, grid, mass_tol).values
+        return ComplexField(grid, acc)
+
+    def norm_function(self, s: Exponent, grid: Optional[Grid],
+                      mass_tol: Optional[float]) -> NormFunction:
+        g = grid or self.grid
+        if g is None:
+            raise PreconditionError("sum of grid-free potentials needs an explicit grid")
+        return lambda t: lq_norm(self.field_at(t, g, mass_tol), s)
+
+    def sample_key(self, t: float) -> Hashable:
+        return None
+
+    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
+        sections = {section: {"kind": self.kind, "terms": str(len(self.terms))}}
+        for i, (term, r_j, s_j) in enumerate(self.terms, start=1):
+            sub = f"{section}.term{i}"
+            sections.update(term.config_sections(sub, profile_path))
+            sections[sub].update(r=str(r_j), s=str(s_j))
+        return sections
 
 
 PotentialSpec = Union[ZeroPotential, StaticPotential, PatchedRescaledPotential,
@@ -196,99 +336,14 @@ def real_profile(grid: Grid, values: np.ndarray) -> ComplexField:
     return ComplexField(grid, vals.astype(np.complex128))
 
 
-def potential_grid(V: PotentialSpec) -> Optional[Grid]:
-    """The natural evaluation grid of a potential (None for ZeroPotential)."""
-    if isinstance(V, (StaticPotential, PatchedRescaledPotential, PseudoconformalPotential)):
-        return V.profile.grid
-    if isinstance(V, SumPotential):
-        for term, _, _ in V.terms:
-            g = potential_grid(term)
-            if g is not None:
-                return g
-    return None
-
-
 def evaluate(V: PotentialSpec, t: float, grid: Grid,
              mass_tol: Optional[float] = None) -> ComplexField:
     """The potential at time t as a real-valued field on the grid."""
-    if isinstance(V, ZeroPotential):
-        return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
-    if isinstance(V, StaticPotential):
-        if V.profile.grid != grid:
-            raise PreconditionError("static potential defined on a different grid")
-        return V.profile
-    if isinstance(V, PatchedRescaledPotential):
-        if V.profile.grid != grid:
-            raise PreconditionError("patched potential defined on a different grid")
-        w = V.schedule.window_at(t)
-        if w is None:
-            return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
-        scaled = rescale_field(V.profile, w.eps, mass_tol)
-        return ComplexField(grid, (w.eps**2) * scaled.values)
-    if isinstance(V, PseudoconformalPotential):
-        if V.profile.grid != grid:
-            raise PreconditionError("pseudoconformal potential defined on a different grid")
-        if t <= 0.0:
-            raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-        scaled = rescale_field(V.profile, 1.0 / t, mass_tol)
-        return ComplexField(grid, scaled.values / t**2)
-    if isinstance(V, SumPotential):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for term, _, _ in V.terms:
-            acc = acc + evaluate(term, t, grid, mass_tol).values
-        return ComplexField(grid, acc)
-    raise TypeError(f"not a potential spec: {V!r}")
+    return V.field_at(t, grid, mass_tol)
 
 
 # ---------------------------------------------------------------------------
 # Mixed norms
-
-
-def _time_lp(samples: np.ndarray, dt: float, r: Exponent) -> float:
-    """(trapezoid of samples^r dt)^(1/r); max of samples for r = inf."""
-    if r.is_infinite:
-        return float(samples.max())
-    rf = float(r)
-    return float(np.trapezoid(samples**rf, dx=dt) ** (1.0 / rf))
-
-
-def spatial_norm_function(V: PotentialSpec, s: ExponentLike,
-                          grid: Optional[Grid] = None,
-                          mass_tol: Optional[float] = None) -> Callable[[float], float]:
-    """t -> ||V(t, .)||_{L^s} with the cheapest exact evaluation per variant."""
-    s = as_exponent(s)
-    if isinstance(V, ZeroPotential):
-        return lambda t: 0.0
-    if isinstance(V, StaticPotential):
-        base = lq_norm(V.profile, s)
-        return lambda t: base
-    if isinstance(V, PatchedRescaledPotential):
-        base = lq_norm(V.profile, s)
-        n = V.profile.grid.n
-        expo = 2.0 - n * float(s.reciprocal)
-
-        def patched(t: float) -> float:
-            w = V.schedule.window_at(t)
-            return 0.0 if w is None else base * w.eps**expo
-
-        return patched
-    if isinstance(V, PseudoconformalPotential):
-        base = lq_norm(V.profile, s)
-        n = V.profile.grid.n
-        expo = n * float(s.reciprocal) - 2.0
-
-        def pseudo(t: float) -> float:
-            if t <= 0.0:
-                raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-            return base * t**expo
-
-        return pseudo
-    if isinstance(V, SumPotential):
-        g = grid or potential_grid(V)
-        if g is None:
-            raise PreconditionError("sum of grid-free potentials needs an explicit grid")
-        return lambda t: lq_norm(evaluate(V, t, g, mass_tol), s)
-    raise TypeError(f"not a potential spec: {V!r}")
 
 
 def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Interval,
@@ -296,30 +351,19 @@ def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Int
                mass_tol: Optional[float] = None) -> float:
     """||V||_{L^r(interval; L^s)} by composite trapezoid over uniform samples.
 
-    Spatial norms per sample come from spatial_norm_function, which is exact
-    for the self-similar variants; the time quadrature carries the dt error.
+    Spatial norms per sample come from the variant's norm_function, which is
+    exact for the self-similar variants; the time quadrature carries the dt
+    error.
     """
     r, s = as_exponent(r), as_exponent(s)
-    a, b = _check_interval(interval)
-    if not dt > 0:
-        raise PreconditionError("dt must be positive")
-    fn = spatial_norm_function(V, s, grid=grid, mass_tol=mass_tol)
-    m = max(1, round((b - a) / dt))
-    ts = np.linspace(a, b, m + 1)
-    samples = np.array([fn(float(t)) for t in ts])
-    return _time_lp(samples, (b - a) / m, r)
+    ts, _ = time_lattice(interval, dt)
+    fn = V.norm_function(s, grid, mass_tol)
+    return time_lp([fn(float(t)) for t in ts], ts, r)
 
 
 def trajectory_mixed_norm(traj: Trajectory, p: ExponentLike, q: ExponentLike) -> float:
     """||u||_{L^p(times; L^q)} of a sampled trajectory (trapezoid in time)."""
-    p, q = as_exponent(p), as_exponent(q)
-    spatial = np.array([lq_norm(state, q) for state in traj.states])
-    if p.is_infinite:
-        return float(spatial.max())
-    pf = float(p)
-    if len(traj.times) == 1:
-        return 0.0
-    return float(np.trapezoid(spatial**pf, x=traj.times) ** (1.0 / pf))
+    return time_lp([lq_norm(state, q) for state in traj.states], traj.times, p)
 
 
 @dataclass(frozen=True)
@@ -434,14 +478,9 @@ def slice_powers(V: PotentialSpec, r: Exponent, s: Exponent, interval: Interval,
     Midpoint sampling makes the powers exact for potentials that are constant
     on each slice (window schedules aligned to the lattice).
     """
-    a, b = _check_interval(interval)
-    if not dt > 0:
-        raise PreconditionError("dt must be positive")
-    m = max(1, round((b - a) / dt))
-    dt_eff = (b - a) / m
-    mids = a + dt_eff * (np.arange(m) + 0.5)
-    fn = spatial_norm_function(V, s, grid=grid, mass_tol=mass_tol)
-    norms = np.array([fn(float(t)) for t in mids])
+    ts, dt_eff = time_lattice(interval, dt)
+    fn = V.norm_function(s, grid, mass_tol)
+    norms = np.array([fn(float(t)) for t in ts[:-1] + dt_eff / 2.0])
     if r.is_infinite:
         return norms, dt_eff  # interpret values as slice sup norms
     return norms ** float(r) * dt_eff, dt_eff
@@ -462,8 +501,8 @@ def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
     r, s = as_exponent(r), as_exponent(s)
     if not tau > 0:
         raise PreconditionError(f"threshold tau must be positive, got {tau}")
-    a, b = _check_interval(interval)
     powers, dt_eff = slice_powers(V, r, s, interval, dt, grid=grid, mass_tol=mass_tol)
+    a, b = float(interval[0]), float(interval[1])
     m = len(powers)
     slack = 1.0 + 1e-12
     if r.is_infinite:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,15 +27,22 @@ from .exponents import Exponent, ExponentLike, as_exponent, is_admissible
 from .potentials import (
     Interval,
     PartitionResult,
-    PatchedRescaledPotential,
     PotentialSpec,
-    StaticPotential,
-    ZeroPotential,
     evaluate,
     partition_interval,
+    time_lattice,
     trajectory_mixed_norm,
 )
-from .spectral import ComplexField, Grid, Trajectory, _ksq, gaussian_field, lq_norm
+from .spectral import (
+    ComplexField,
+    Grid,
+    Trajectory,
+    free_multiplier,
+    gaussian_field,
+    lq_norm,
+    lq_norms,
+    time_lp,
+)
 
 SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
 
@@ -63,43 +70,35 @@ class ZNormValue:
         return max(self.l_inf_l2, self.l2_endpoint)
 
 
-def _z_norm_arrays(times: np.ndarray, arrays: Sequence[np.ndarray], grid: Grid,
-                   q_fallback: int = DEFAULT_Q_FALLBACK) -> ZNormValue:
+def _stack_z_norm(times: np.ndarray, stack: np.ndarray, grid: Grid,
+                  q_fallback: int) -> float:
+    """Z-norm of a stacked (m+1,) + grid.shape piece trajectory."""
     qe = endpoint_q(grid.n, q_fallback)
-    qef = float(qe)
-    vol = grid.cell_volume
-    l2s = np.array([math.sqrt((np.abs(a) ** 2).sum() * vol) for a in arrays])
-    qes = np.array([((np.abs(a) ** qef).sum() * vol) ** (1.0 / qef) for a in arrays])
-    l2e = math.sqrt(float(np.trapezoid(qes**2, x=times))) if len(times) > 1 else 0.0
-    return ZNormValue(l_inf_l2=float(l2s.max()), l2_endpoint=l2e, endpoint=qe)
+    return max(time_lp(lq_norms(stack, grid, 2), times, "inf"),
+               time_lp(lq_norms(stack, grid, qe), times, 2))
 
 
 def z_norm(traj: Trajectory, q_fallback: int = DEFAULT_Q_FALLBACK) -> ZNormValue:
-    return _z_norm_arrays(traj.times, [s.values for s in traj.states], traj.grid, q_fallback)
+    qe = endpoint_q(traj.grid.n, q_fallback)
+    return ZNormValue(l_inf_l2=trajectory_mixed_norm(traj, "inf", 2),
+                      l2_endpoint=trajectory_mixed_norm(traj, 2, qe), endpoint=qe)
 
 
 class PotentialSampler:
-    """Evaluates V(t) on a grid, caching arrays for piecewise-static specs."""
+    """Evaluates V(t) on a grid, caching the arrays of piecewise-static specs
+    under the variant's sample_key."""
 
     def __init__(self, V: PotentialSpec, grid: Grid, mass_tol: Optional[float] = None):
         self.V, self.grid, self.mass_tol = V, grid, mass_tol
-        self._static: Optional[np.ndarray] = None
-        self._window_cache: Dict[Optional[int], np.ndarray] = {}
-        if isinstance(V, ZeroPotential):
-            self._static = np.zeros(grid.shape)
-        elif isinstance(V, StaticPotential):
-            self._static = evaluate(V, 0.0, grid).values.real
+        self._cache: Dict[Hashable, np.ndarray] = {}
 
     def values_at(self, t: float) -> np.ndarray:
-        if self._static is not None:
-            return self._static
-        if isinstance(self.V, PatchedRescaledPotential):
-            w = self.V.schedule.window_at(t)
-            key = None if w is None else w.k
-            if key not in self._window_cache:
-                self._window_cache[key] = evaluate(self.V, t, self.grid, self.mass_tol).values.real
-            return self._window_cache[key]
-        return evaluate(self.V, t, self.grid, self.mass_tol).values.real
+        key = self.V.sample_key(t)
+        if key is None:
+            return evaluate(self.V, t, self.grid, self.mass_tol).values.real
+        if key not in self._cache:
+            self._cache[key] = evaluate(self.V, t, self.grid, self.mass_tol).values.real
+        return self._cache[key]
 
 
 def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
@@ -168,17 +167,6 @@ class SolveReport:
         return d
 
 
-def _sample_lattice(interval: Interval, dt: float) -> Tuple[np.ndarray, float, int]:
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise PreconditionError(f"interval must have positive length, got [{a}, {b}]")
-    if not dt > 0:
-        raise PreconditionError("dt must be positive")
-    m = max(1, round((b - a) / dt))
-    dt_eff = (b - a) / m
-    return a + dt_eff * np.arange(m + 1), dt_eff, m
-
-
 def split_step_evolve(
     u0: ComplexField,
     V: PotentialSpec,
@@ -195,10 +183,11 @@ def split_step_evolve(
     correction.  Second order in dt; exactly unitary for F = 0, real V.
     """
     grid = u0.grid
-    times, dt_eff, m = _sample_lattice(interval, dt)
+    times, dt_eff = time_lattice(interval, dt)
+    m = len(times) - 1
     sampler = PotentialSampler(V, grid, mass_tol)
-    kin = np.exp(1j * dt_eff * _ksq(grid))
-    kin_half = np.exp(1j * (dt_eff / 2.0) * _ksq(grid))
+    kin = free_multiplier(grid, dt_eff)
+    kin_half = free_multiplier(grid, dt_eff / 2.0)
 
     if store_every is None:
         store_every = max(1, int(math.ceil(m / 256)))
@@ -206,24 +195,17 @@ def split_step_evolve(
     for p, q in pair_list:
         if not is_admissible(p, q, grid.n):
             raise PreconditionError(f"pair ({p},{q}) is not admissible for n={grid.n}")
-    acc = {pq: 0.0 for pq in pair_list}
-    sup = {pq: 0.0 for pq in pair_list}
+    spatial = {pq: np.empty(m + 1) for pq in pair_list}  # ||u(t_j)||_q per pair
 
     u = u0.values.copy()
-    vol = grid.cell_volume
     energies = np.empty(m + 1)
     stored_idx: List[int] = []
     stored: List[ComplexField] = []
 
     def record(j: int, uvals: np.ndarray):
-        energies[j] = math.sqrt((np.abs(uvals) ** 2).sum() * vol)
-        weight = dt_eff * (0.5 if j in (0, m) else 1.0)
+        energies[j] = lq_norms(uvals, grid, 2)
         for (p, q) in pair_list:
-            nq = _grid_lq(uvals, grid, q)
-            if p.is_infinite:
-                sup[(p, q)] = max(sup[(p, q)], nq)
-            else:
-                acc[(p, q)] += weight * nq ** float(p)
+            spatial[(p, q)][j] = lq_norms(uvals, grid, q)
         if step_probe is not None:
             step_probe(float(times[j]), uvals)
         if j % store_every == 0 or j == m:
@@ -247,18 +229,10 @@ def split_step_evolve(
     ratios = {}
     u0_l2 = energies[0]
     for (p, q) in pair_list:
-        total = sup[(p, q)] if p.is_infinite else acc[(p, q)] ** (1.0 / float(p))
+        total = time_lp(spatial[(p, q)], times, p)
         ratios[(p, q)] = total / u0_l2 if u0_l2 > 0 else math.inf
     traj = Trajectory(times=times[stored_idx], states=stored, energy_log=energies[stored_idx])
     return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios)
-
-
-def _grid_lq(vals: np.ndarray, grid: Grid, q: Exponent) -> float:
-    mod = np.abs(vals)
-    if q.is_infinite:
-        return float(mod.max())
-    qf = float(q)
-    return float(((mod**qf).sum() * grid.cell_volume) ** (1.0 / qf))
 
 
 @dataclass
@@ -283,9 +257,10 @@ def _duhamel_run(
     frozen: bool,
 ) -> DuhamelResult:
     grid = u0.grid
-    times, dt_eff, m = _sample_lattice(piece, dt)
+    times, dt_eff = time_lattice(piece, dt)
+    m = len(times) - 1
     sampler = PotentialSampler(V, grid, mass_tol)
-    kin = np.exp(1j * dt_eff * _ksq(grid))
+    kin = free_multiplier(grid, dt_eff)
     vvals = [sampler.values_at(float(t)) for t in times]
 
     if frozen:
@@ -328,19 +303,21 @@ def _duhamel_run(
         return g
 
     def zdiff(a: np.ndarray, b: np.ndarray) -> float:
-        return _z_norm_arrays(times, list(a - b), grid, q_fallback).value
+        """Z-norm of a - b, formed in a's buffer: the caller drops a."""
+        a -= b
+        return _stack_z_norm(times, a, grid, q_fallback)
 
     v = base.copy()
-    scale = _z_norm_arrays(times, list(v), grid, q_fallback).value
+    scale = _stack_z_norm(times, v, grid, q_fallback)
     v_next = apply_phi(v)
-    d_first = zdiff(v_next, v)
+    d_first = zdiff(v, v_next)
     factors: List[float] = []
     iterations = 1
     v, v_prev_diff = v_next, d_first
     if d_first > max(1e-14 * scale, 0.0):
         while True:
             v_next = apply_phi(v)
-            d = zdiff(v_next, v)
+            d = zdiff(v, v_next)
             factors.append(d / v_prev_diff if v_prev_diff > 0 else 0.0)
             iterations += 1
             v, v_prev_diff = v_next, d
@@ -353,11 +330,10 @@ def _duhamel_run(
                 )
 
     res_abs = zdiff(apply_phi(v), v)
-    vnorm = _z_norm_arrays(times, list(v), grid, q_fallback).value
+    vnorm = _stack_z_norm(times, v, grid, q_fallback)
     residual = res_abs / vnorm if vnorm > 0 else res_abs
     states = [ComplexField(grid, v[j]) for j in range(m + 1)]
-    energies = np.array([lq_norm(s, 2) for s in states])
-    traj = Trajectory(times=times, states=states, energy_log=energies)
+    traj = Trajectory(times=times, states=states, energy_log=lq_norms(v, grid, 2))
     return DuhamelResult(trajectory=traj, factors=factors, iterations=iterations,
                          first_increment=d_first, residual=residual)
 
@@ -411,6 +387,7 @@ def solve_global(
     part = partition_interval(V, r, s, interval, tau, dt, grid=grid, mass_tol=mass_tol)
     all_times: List[np.ndarray] = []
     all_states: List[ComplexField] = []
+    all_energies: List[np.ndarray] = []
     factors: List[List[float]] = []
     iterations: List[int] = []
     residuals: List[float] = []
@@ -425,9 +402,10 @@ def solve_global(
         skip = 1 if idx > 0 else 0  # piece start duplicates previous terminal state
         all_times.append(tr.times[skip:])
         all_states.extend(tr.states[skip:])
+        all_energies.append(tr.energy_log[skip:])
         state = tr.states[-1]
     times = np.concatenate(all_times)
-    energies = np.array([lq_norm(st, 2) for st in all_states])
+    energies = np.concatenate(all_energies)
     full = Trajectory(times=times, states=all_states, energy_log=energies)
 
     pair_list = [(as_exponent(p), as_exponent(q)) for p, q in
@@ -504,7 +482,7 @@ def calibrate_tau(
                                           tol, maxit, q_fallback)
                     if res.factors and max(res.factors) > target:
                         return False
-            except (NonContractionError, PartitionError, PreconditionError):
+            except (NonContractionError, PartitionError):
                 return False
         return True
 

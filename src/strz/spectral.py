@@ -173,20 +173,39 @@ def free_propagate(u: ComplexField, t: float) -> ComplexField:
     return ComplexField(u.grid, np.fft.ifftn(hat))
 
 
-def lq_norm(u: ComplexField, q: QLike) -> float:
-    """Spatial L^q norm by Riemann sum; q = inf gives the grid max modulus."""
+def lq_norms(values: np.ndarray, grid: Grid, q: QLike) -> np.ndarray:
+    """Spatial L^q norms of complex or real floating samples by Riemann sum
+    over the trailing grid.n axes, so one state gives a scalar and a stacked
+    (m+1,) + grid.shape array gives one norm per state; q = inf gives the
+    grid max modulus."""
     q = as_exponent(q)
-    mod = np.abs(u.values)
+    axes = tuple(range(-grid.n, 0))
+    mod = np.abs(values)
     if q.is_infinite:
-        return float(mod.max())
+        return mod.max(axis=axes)
     qf = float(q)
     if qf == 2.0:
-        return float(np.sqrt(np.sum(mod**2) * u.grid.cell_volume))
-    return float((np.sum(mod**qf) * u.grid.cell_volume) ** (1.0 / qf))
+        return np.sqrt(np.square(mod, out=mod).sum(axis=axes) * grid.cell_volume)
+    mod **= qf
+    return (mod.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
 
 
-def l2_inner(u: ComplexField, v: ComplexField) -> complex:
-    return complex(np.vdot(u.values, v.values) * u.grid.cell_volume)
+def lq_norm(u: ComplexField, q: QLike) -> float:
+    """Spatial L^q norm of one field (see lq_norms)."""
+    return float(lq_norms(u.values, u.grid, q))
+
+
+def time_lp(samples: np.ndarray, times: np.ndarray, p: QLike) -> float:
+    """(trapezoid of samples^p over times)^(1/p); the max of the samples for
+    p = inf.  A single sample spans no time, so finite p then gives 0."""
+    p = as_exponent(p)
+    samples = np.asarray(samples, dtype=float)
+    if p.is_infinite:
+        return float(samples.max())
+    if len(times) < 2:
+        return 0.0
+    pf = float(p)
+    return float(np.trapezoid(samples**pf, x=times) ** (1.0 / pf))
 
 
 def shell_mass_fraction(values: np.ndarray, grid: Grid) -> float:

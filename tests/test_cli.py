@@ -17,10 +17,15 @@ from strz.config import (
     potential_from_config,
     potential_to_config,
 )
-from strz.errors import ConfigError
+from strz.errors import ConfigError, PreconditionError
 from strz.exponents import Exponent
 from strz.groundstate import default_weight, ground_pair, standing_wave_potential
-from strz.potentials import PatchedRescaledPotential, StaticPotential, ZeroPotential
+from strz.potentials import (
+    PatchedRescaledPotential,
+    StaticPotential,
+    SumPotential,
+    ZeroPotential,
+)
 from strz.snapshot import write_snapshot
 from strz.spectral import make_grid
 
@@ -93,6 +98,24 @@ class TestPotentialConfig:
         assert isinstance(V, PatchedRescaledPotential)
         assert len(V.schedule.windows) == 4
         assert V.schedule.windows[2].eps == fam.potential.schedule.windows[2].eps
+
+    def test_sum_round_trip(self, tmp_path):
+        grid = make_grid(1, 12.0, 64)
+        w = default_weight(grid, sigma=1.0)
+        write_snapshot(w, tmp_path / "w.strz")
+        V = SumPotential(terms=((StaticPotential(w), Exponent(2), Exponent(3)),
+                                (ZeroPotential(), Exponent("inf"), Exponent(2))))
+        sections = potential_to_config(V, profile_path="w.strz")
+        assert sections["potential"] == {"kind": "sum", "terms": "2"}
+        back = potential_from_config(ExperimentConfig(sections), base_dir=tmp_path)
+        assert [(type(t), r, s) for t, r, s in back.terms] == \
+            [(type(t), r, s) for t, r, s in V.terms]
+        np.testing.assert_array_equal(back.terms[0][0].profile.values, w.values)
+
+    def test_profile_path_required(self):
+        grid = make_grid(1, 12.0, 64)
+        with pytest.raises(PreconditionError, match="static potential needs a profile path"):
+            potential_to_config(StaticPotential(default_weight(grid)))
 
     def test_zero(self):
         cfg = ExperimentConfig({"potential": {"kind": "zero"}})
@@ -183,12 +206,17 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "pieces.csv").exists()
 
-    def test_determinism_byte_identical_csv(self, tmp_path):
-        cfg = self.make_config(tmp_path)
+    @pytest.mark.parametrize("method", ["split-step", "global"])
+    def test_determinism_byte_identical_csv(self, tmp_path, method):
+        cfg = self.make_config(tmp_path, method=method)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
+        names = sorted(p.name for p in out1.glob("*.csv"))
+        assert names == sorted(p.name for p in out2.glob("*.csv"))
+        assert ("pieces.csv" in names) == (method == "global")
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_missing_config_io_error(self, tmp_path):
         # ConfigError covers unreadable configs: validation exit code
@@ -286,11 +314,7 @@ class TestCliCounterexample:
         ])
         assert code == EXIT_VALIDATION
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STRZ_THREADS", "2")
-        from strz.cli import thread_count
-
-        assert thread_count() == 2
+    def test_global_subcritical_two_pairs(self, tmp_path):
         out = tmp_path / "cex2"
         code = main([
             "counterexample", "--kind", "global-subcritical", "--r", "4", "--s", "6",

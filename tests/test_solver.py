@@ -4,8 +4,21 @@ import pytest
 from strz.errors import CalibrationError, NonContractionError, PreconditionError
 from strz.exponents import Exponent
 from strz.groundstate import default_weight, ground_pair, standing_wave_potential
-from strz.potentials import StaticPotential, ZeroPotential, real_profile
+from strz import solver
+from strz.exponents import ScheduleKind, ScheduleParams
+from strz.potentials import (
+    PatchedRescaledPotential,
+    PseudoconformalPotential,
+    Schedule,
+    StaticPotential,
+    Window,
+    ZeroPotential,
+    real_profile,
+    trajectory_mixed_norm,
+)
 from strz.solver import (
+    DEFAULT_Q_FALLBACK,
+    PotentialSampler,
     calibrate_tau,
     duhamel_iterate,
     endpoint_q,
@@ -126,6 +139,17 @@ class TestSplitStep:
         key = (Exponent("inf"), Exponent(2))
         assert rep.strichartz_ratios[key] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("p, q", [(4, 4), (3, 6)])
+    def test_ratios_match_trajectory_mixed_norm(self, standing2d, p, q):
+        # the per-step norm series and the stored-trajectory quadrature agree
+        # when every step is stored; a Gaussian start makes |u| vary in time
+        grid, W, _ = standing2d
+        u0 = gaussian_field(grid, sigma=1.0)
+        rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.5), dt=1e-2,
+                                store_every=1, pairs=[(p, q)])
+        got = rep.strichartz_ratios[(Exponent(p), Exponent(q))] * lq_norm(u0, 2)
+        assert got == pytest.approx(trajectory_mixed_norm(rep.trajectory, p, q), rel=1e-12)
+
     def test_inadmissible_pair_rejected(self, standing1d):
         grid, W, u0 = standing1d
         with pytest.raises(Exception):
@@ -157,6 +181,57 @@ class TestZNorm:
         zn = z_norm(rep.trajectory)
         assert zn.value > 0
         assert zn.l_inf_l2 <= zn.value
+
+    def test_max_of_mixed_norms_and_stacked_form(self, standing2d):
+        grid, W, _ = standing2d
+        rep = split_step_evolve(gaussian_field(grid, sigma=1.0), StaticPotential(W),
+                                interval=(0.0, 0.5), dt=1e-2, store_every=1)
+        traj = rep.trajectory
+        zn = z_norm(traj)
+        assert zn.value == max(trajectory_mixed_norm(traj, "inf", 2),
+                               trajectory_mixed_norm(traj, 2, endpoint_q(2)))
+        # the Duhamel iteration takes the same norm on its stacked piece array
+        stack = np.stack([s.values for s in traj.states])
+        stacked = solver._stack_z_norm(traj.times, stack, grid, DEFAULT_Q_FALLBACK)
+        assert stacked == pytest.approx(zn.value, rel=1e-12)
+
+
+class TestPotentialSampler:
+    def sampled_times(self, V, grid, times, monkeypatch):
+        calls = []
+        real = solver.evaluate
+
+        def counting(V, t, g, mass_tol=None):
+            calls.append(t)
+            return real(V, t, g, mass_tol)
+
+        monkeypatch.setattr(solver, "evaluate", counting)
+        sampler = PotentialSampler(V, grid)
+        for t in times:
+            np.testing.assert_array_equal(sampler.values_at(t),
+                                          real(V, t, grid).values.real)
+        return calls
+
+    def test_caches_static_and_zero_once(self, standing1d, monkeypatch):
+        grid, W, _ = standing1d
+        for V in (ZeroPotential(), StaticPotential(W)):
+            assert self.sampled_times(V, grid, [0.0, 0.3, 0.7], monkeypatch) == [0.0]
+
+    def test_caches_patched_per_window(self, standing1d, monkeypatch):
+        grid, W, _ = standing1d
+        kind = ScheduleKind.LOCAL
+        sched = Schedule(kind=kind, params=ScheduleParams(alpha=2, beta=4, kind=kind), n=1,
+                         windows=(Window(1, 0.0, 0.5, 1.0), Window(2, 0.5, 0.25, 1.1)),
+                         total_time=1.0)
+        V = PatchedRescaledPotential(W, sched)
+        times = [0.1, 0.2, 0.6, 0.7, 0.8, 0.9]
+        assert self.sampled_times(V, grid, times, monkeypatch) == [0.1, 0.6, 0.8]
+
+    def test_pseudoconformal_never_cached(self, standing1d, monkeypatch):
+        grid, W, _ = standing1d
+        times = [0.9, 0.95, 1.0]
+        calls = self.sampled_times(PseudoconformalPotential(W), grid, times, monkeypatch)
+        assert calls == times
 
 
 class TestDuhamel:
@@ -348,6 +423,19 @@ class TestCalibrateTau:
         grid, _, _ = standing1d
         with pytest.raises(PreconditionError):
             calibrate_tau([], grid, dt=0.02)
+
+    @pytest.mark.parametrize("case", ["zero dt", "reversed interval", "probe grid"])
+    def test_caller_mistakes_raise_precondition_error(self, standing1d, case):
+        grid, W, _ = standing1d
+        kwargs = {"dt": 0.02}
+        if case == "zero dt":
+            kwargs["dt"] = 0.0
+        elif case == "reversed interval":
+            kwargs["interval"] = (1.0, 0.0)
+        else:
+            kwargs["probe_state"] = gaussian_field(make_grid(1, 12.0, 32), sigma=1.0)
+        with pytest.raises(PreconditionError):
+            calibrate_tau([StaticPotential(W)], grid, **kwargs)
 
     def test_impossible_reference_error(self, standing1d):
         grid, W, _ = standing1d

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strz.errors import PreconditionError, SnapshotFormatError, SupportEscapeError
+from strz.exponents import Exponent
 from strz.snapshot import read_snapshot, write_snapshot
 from strz.spectral import (
     ComplexField,
@@ -10,6 +11,7 @@ from strz.spectral import (
     free_propagate,
     gaussian_field,
     lq_norm,
+    lq_norms,
     make_grid,
     rescale_field,
     shell_mass_fraction,
@@ -133,6 +135,24 @@ class TestLqNorm:
         g = make_grid(1, 16.0, 256)
         u = gaussian_field(g, sigma=1.0)
         assert lq_norm(u, 2) == pytest.approx(np.pi**0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, "8/3", 6, "inf"])
+    def test_stacked_matches_per_state(self, n, q):
+        g = make_grid(n, 4.0, 8)
+        states = [random_field(g, seed) for seed in range(5)]
+        stack = np.stack([u.values for u in states])
+        stacked = lq_norms(stack, g, q)
+        assert stacked.shape == (5,)
+        for u, got in zip(states, stacked):
+            mod = np.abs(u.values).ravel()
+            if q == "inf":
+                ref = max(mod)
+            else:
+                qf = float(Exponent(q))
+                ref = (sum(m**qf for m in mod) * g.cell_volume) ** (1.0 / qf)
+            assert lq_norm(u, q) == pytest.approx(ref, rel=1e-13)
+            assert got == pytest.approx(lq_norm(u, q), rel=1e-14)
 
     def test_refinement_order(self):
         # Riemann sums on a marginally resolved Gaussian: the error must
