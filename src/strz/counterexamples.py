@@ -25,10 +25,10 @@ from .exponents import (
     ExponentLike,
     ScheduleKind,
     ScheduleParams,
+    admissible_pair,
     as_exponent,
     classify_potential,
     global_subcritical_params,
-    is_admissible,
     local_params,
     pseudoconformal_ok,
     validate_schedule_params,
@@ -181,10 +181,8 @@ def ratio_series(
     (inf, 2) is allowed and yields the constant series 1 (energy
     conservation); it is excluded from any divergence verdict.
     """
-    p, q = as_exponent(p), as_exponent(q)
     n = family.n
-    if not is_admissible(p, q, n):
-        raise PreconditionError(f"pair ({p},{q}) is not admissible for n={n}")
+    p, q = admissible_pair(p, q, n)
     ks = np.array([w.k for w in family.schedule.windows], dtype=float)
     lengths = np.array([w.length for w in family.schedule.windows])
     eps = np.array([w.eps for w in family.schedule.windows])
@@ -248,7 +246,6 @@ def window_crosscheck(
         raise PreconditionError("window cross-checks are desk-scale: pick at most 3 windows")
     if pairs is None:
         pairs = [(2, 6), (Fraction(8, 3), 4)] if family.n == 3 else [(4, 4)]
-    pair_list = [(as_exponent(p), as_exponent(q)) for p, q in pairs]
     grid = family.u0.grid
     u0 = family.u0
     u0_l2 = lq_norm(u0, 2)
@@ -269,12 +266,12 @@ def window_crosscheck(
 
         rep = split_step_evolve(
             u0, StaticPotential(family.W), interval=(0.0, tau_len), dt=dt,
-            pairs=pair_list, step_probe=probe,
+            pairs=pairs, step_probe=probe,
         )
         norm_errors: Dict[Tuple[Exponent, Exponent], float] = {}
-        for (p, q) in pair_list:
+        for (p, q), ratio in rep.strichartz_ratios.items():
             # rescaled-coordinate norm back to original coordinates
-            base_norm = rep.strichartz_ratios[(p, q)] * u0_l2  # L^p([0,tau_len]; L^q)
+            base_norm = ratio * u0_l2  # L^p([0,tau_len]; L^q)
             scale = w.eps ** float(-2 * p.reciprocal - family.n * q.reciprocal)
             numeric = scale * base_norm
             closed = (
@@ -367,10 +364,7 @@ def pseudoconformal_solution_norm(u0: ComplexField, p: ExponentLike, q: Exponent
     """Closed form (integral of T^(p(n/q - n/2)) over [delta,1])^(1/p) ||u0||_q;
     for admissible pairs the exponent is exactly -2, giving
     (1/delta - 1)^(1/p) ||u0||_q, which blows up as delta -> 0."""
-    p, q = as_exponent(p), as_exponent(q)
-    n = u0.grid.n
-    if not is_admissible(p, q, n):
-        raise PreconditionError(f"pair ({p},{q}) is not admissible for n={n}")
+    p, q = admissible_pair(p, q, u0.grid.n)
     if p.is_infinite:
         raise PreconditionError("solution norm formula needs p < inf")
     if not 0.0 < delta < 1.0:
@@ -388,9 +382,9 @@ def pseudoconformal_solution_norm_numeric(u0: ComplexField, p: ExponentLike,
     ||U(T)||_q = T^(n/q - n/2) ||u0||_q on the scaled grid; only the time
     integral is numerical.
     """
-    p, q = as_exponent(p), as_exponent(q)
     n = u0.grid.n
-    if not is_admissible(p, q, n) or p.is_infinite:
+    p, q = admissible_pair(p, q, n)
+    if p.is_infinite:
         raise PreconditionError(f"pair ({p},{q}) is not usable here")
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")

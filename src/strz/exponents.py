@@ -147,6 +147,14 @@ def is_admissible(p: ExponentLike, q: ExponentLike, n: int) -> bool:
     return True
 
 
+def admissible_pair(p: ExponentLike, q: ExponentLike, n: int) -> Tuple[Exponent, Exponent]:
+    """(p, q) as exponents; PreconditionError unless admissible in dimension n."""
+    p, q = as_exponent(p), as_exponent(q)
+    if not is_admissible(p, q, n):
+        raise PreconditionError(f"pair ({p},{q}) is not admissible for n={n}")
+    return p, q
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """A (p, q) pair attached to a space dimension."""

@@ -10,12 +10,16 @@ Two routes are implemented and cross-validated:
   norm is small.  (The -i phase in front of the integral is irrelevant for
   norm estimates but required for the fixed point to solve the equation.)
 
+Both step with the one kernel ``spectral.strang_step``; its half-phases
+exp(i (h/2) V) come from ``PotentialSampler``, cached under the variant's
+sample_key like the values of V, and both build their report in ``_report``.
 The discrete Duhamel integral uses the trapezoid rule at the sampling dt and
 is accumulated with the one-step propagator, so one sweep costs O(steps) FFTs.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -23,7 +27,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .errors import CalibrationError, NonContractionError, PartitionError, PreconditionError
-from .exponents import Exponent, ExponentLike, as_exponent, is_admissible
+from .exponents import TWO, Exponent, ExponentLike, admissible_pair, as_exponent
 from .potentials import (
     Interval,
     PartitionResult,
@@ -41,12 +45,14 @@ from .spectral import (
     gaussian_field,
     lq_norm,
     lq_norms,
+    strang_step,
     time_lp,
 )
 
 SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
 
 DEFAULT_Q_FALLBACK = 8  # endpoint space exponent for n <= 2
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
 def endpoint_q(n: int, q_fallback: int = DEFAULT_Q_FALLBACK) -> Exponent:
@@ -85,12 +91,13 @@ def z_norm(traj: Trajectory, q_fallback: int = DEFAULT_Q_FALLBACK) -> ZNormValue
 
 
 class PotentialSampler:
-    """Evaluates V(t) on a grid, caching the arrays of piecewise-static specs
-    under the variant's sample_key."""
+    """Evaluates V(t) on a grid, and its Strang half-phases, caching both for
+    piecewise-static specs under the variant's sample_key."""
 
     def __init__(self, V: PotentialSpec, grid: Grid, mass_tol: Optional[float] = None):
         self.V, self.grid, self.mass_tol = V, grid, mass_tol
         self._cache: Dict[Hashable, np.ndarray] = {}
+        self._phases: Dict[Tuple[Hashable, float], np.ndarray] = {}
 
     def values_at(self, t: float) -> np.ndarray:
         key = self.V.sample_key(t)
@@ -100,18 +107,32 @@ class PotentialSampler:
             self._cache[key] = evaluate(self.V, t, self.grid, self.mass_tol).values.real
         return self._cache[key]
 
+    def phase_at(self, t: float, h: float) -> np.ndarray:
+        """Half-phase of V(t) for a Strang step of length h."""
+        key = self.V.sample_key(t)
+        if key is None:
+            return self.phase(self.values_at(t), h)
+        if (key, h) not in self._phases:
+            self._phases[(key, h)] = self.phase(self.values_at(t), h)
+        return self._phases[(key, h)]
+
+    @staticmethod
+    def phase(values: np.ndarray, h: float) -> np.ndarray:
+        """exp(i (h/2) V) of sampled potential values V."""
+        return np.exp(1j * (h / 2.0) * values)
+
 
 def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
     if F is None:
         return None
-    if isinstance(F, ComplexField):
-        if F.grid != grid:
-            raise PreconditionError("source defined on a different grid")
-        return F.values
-    out = F(t)
+    out = F if isinstance(F, ComplexField) else F(t)
     if out.grid != grid:
         raise PreconditionError("source defined on a different grid")
     return out.values
+
+
+def _stride(store_every: Optional[int], count: int) -> int:
+    return store_every if store_every is not None else max(1, math.ceil(count / 256))
 
 
 def default_pairs(n: int) -> List[Tuple[Exponent, Exponent]]:
@@ -167,6 +188,20 @@ class SolveReport:
         return d
 
 
+def _report(times: np.ndarray, norms: Dict[Exponent, np.ndarray],
+            pair_list: List[Tuple[Exponent, Exponent]], kept: List[int],
+            stored: List[ComplexField], **fields) -> SolveReport:
+    """Energy drift, Strichartz ratios and stored trajectory of a solve from its
+    per-sample L^q norms, by q: 2 (the energy log) and each q of the pairs."""
+    energies = norms[TWO]
+    e0 = energies[0]
+    drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
+    ratios = {(p, q): time_lp(norms[q], times, p) / e0 if e0 > 0 else math.inf
+              for p, q in pair_list}
+    traj = Trajectory(times=times[kept], states=stored, energy_log=energies[kept])
+    return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios, **fields)
+
+
 def split_step_evolve(
     u0: ComplexField,
     V: PotentialSpec,
@@ -183,56 +218,38 @@ def split_step_evolve(
     correction.  Second order in dt; exactly unitary for F = 0, real V.
     """
     grid = u0.grid
+    pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
     times, dt_eff = time_lattice(interval, dt)
     m = len(times) - 1
     sampler = PotentialSampler(V, grid, mass_tol)
     kin = free_multiplier(grid, dt_eff)
     kin_half = free_multiplier(grid, dt_eff / 2.0)
-
-    if store_every is None:
-        store_every = max(1, int(math.ceil(m / 256)))
-    pair_list = [(as_exponent(p), as_exponent(q)) for p, q in (pairs or [])]
-    for p, q in pair_list:
-        if not is_admissible(p, q, grid.n):
-            raise PreconditionError(f"pair ({p},{q}) is not admissible for n={grid.n}")
-    spatial = {pq: np.empty(m + 1) for pq in pair_list}  # ||u(t_j)||_q per pair
+    stride = _stride(store_every, m)
 
     u = u0.values.copy()
-    energies = np.empty(m + 1)
-    stored_idx: List[int] = []
+    norms = {q: np.empty(m + 1) for q in {TWO} | {q for _, q in pair_list}}
+    kept: List[int] = []
     stored: List[ComplexField] = []
 
     def record(j: int, uvals: np.ndarray):
-        energies[j] = lq_norms(uvals, grid, 2)
-        for (p, q) in pair_list:
-            spatial[(p, q)][j] = lq_norms(uvals, grid, q)
+        for q, series in norms.items():
+            series[j] = lq_norms(uvals, grid, q)
         if step_probe is not None:
             step_probe(float(times[j]), uvals)
-        if j % store_every == 0 or j == m:
-            stored_idx.append(j)
+        if j % stride == 0 or j == m:
+            kept.append(j)
             stored.append(ComplexField(grid, uvals.copy()))
 
     record(0, u)
     for j in range(m):
         t_mid = float(times[j]) + dt_eff / 2.0
-        phase_half = np.exp(1j * (dt_eff / 2.0) * sampler.values_at(t_mid))
-        u = phase_half * np.fft.ifftn(kin * np.fft.fftn(phase_half * u))
+        u = strang_step(u, kin, sampler.phase_at(t_mid, dt_eff))
         src = _source_at(F, t_mid, grid)
         if src is not None:
-            quarter = np.exp(1j * (dt_eff / 4.0) * sampler.values_at(t_mid))
-            half_evolved = quarter * np.fft.ifftn(kin_half * np.fft.fftn(quarter * src))
-            u = u - 1j * dt_eff * half_evolved
+            u = u - 1j * dt_eff * strang_step(src, kin_half, sampler.phase_at(t_mid, dt_eff / 2.0))
         record(j + 1, u)
 
-    e0 = energies[0]
-    drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
-    ratios = {}
-    u0_l2 = energies[0]
-    for (p, q) in pair_list:
-        total = time_lp(spatial[(p, q)], times, p)
-        ratios[(p, q)] = total / u0_l2 if u0_l2 > 0 else math.inf
-    traj = Trajectory(times=times[stored_idx], states=stored, energy_log=energies[stored_idx])
-    return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios)
+    return _report(times, norms, pair_list, kept, stored)
 
 
 @dataclass
@@ -259,30 +276,24 @@ def _duhamel_run(
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
+    need = 4 * (m + 1) * grid.npoints * 16  # complex base, v, apply_phi's output, states
+    if need > PHYSICAL_MEMORY:
+        raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
+                                f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
     sampler = PotentialSampler(V, grid, mass_tol)
     kin = free_multiplier(grid, dt_eff)
+    half = dt_eff / 2.0  # trapezoid weight
     vvals = [sampler.values_at(float(t)) for t in times]
 
-    if frozen:
-        v0 = vvals[0]
-        phase_half = np.exp(1j * (dt_eff / 2.0) * v0)
-
-        def prop(a: np.ndarray) -> np.ndarray:
-            return phase_half * np.fft.ifftn(kin * np.fft.fftn(phase_half * a))
-
-        eff = [v - v0 for v in vvals]  # W(t) = V(t) - V(t0)
-    else:
-
-        def prop(a: np.ndarray) -> np.ndarray:
-            return np.fft.ifftn(kin * np.fft.fftn(a))
-
-        eff = vvals
+    # frozen: propagate with the static V(t0), perturbed by W(t) = V(t) - V(t0)
+    phase = sampler.phase(vvals[0], dt_eff) if frozen else None
+    eff = [v - vvals[0] for v in vvals] if frozen else vvals
 
     fvals = [_source_at(F, float(t), grid) for t in times]
     base = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
     base[0] = u0.values
     for j in range(m):
-        base[j + 1] = prop(base[j])
+        base[j + 1] = strang_step(base[j], kin, phase)
 
     def apply_phi(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -291,7 +302,7 @@ def _duhamel_run(
         g_prev = _g(0, v)
         for j in range(m):
             g_next = _g(j + 1, v)
-            integral = prop(integral + (dt_eff / 2.0) * g_prev) + (dt_eff / 2.0) * g_next
+            integral = strang_step(integral + half * g_prev, kin, phase) + half * g_next
             out[j + 1] = base[j + 1] - 1j * integral
             g_prev = g_next
         return out
@@ -384,6 +395,8 @@ def solve_global(
     feeding terminal states forward, and report contraction data plus the
     chained constant bound k (1 + 2 c_hat)^k with c_hat = 1 / (2 tau)."""
     grid = u0.grid
+    pair_list = [admissible_pair(p, q, grid.n) for p, q in
+                 (pairs if pairs is not None else default_pairs(grid.n))]
     part = partition_interval(V, r, s, interval, tau, dt, grid=grid, mass_tol=mass_tol)
     all_times: List[np.ndarray] = []
     all_states: List[ComplexField] = []
@@ -405,41 +418,17 @@ def solve_global(
         all_energies.append(tr.energy_log[skip:])
         state = tr.states[-1]
     times = np.concatenate(all_times)
-    energies = np.concatenate(all_energies)
-    full = Trajectory(times=times, states=all_states, energy_log=energies)
-
-    pair_list = [(as_exponent(p), as_exponent(q)) for p, q in
-                 (pairs if pairs is not None else default_pairs(grid.n))]
-    u0_l2 = lq_norm(u0, 2)
-    ratios = {}
-    for p, q in pair_list:
-        if not is_admissible(p, q, grid.n):
-            raise PreconditionError(f"pair ({p},{q}) is not admissible for n={grid.n}")
-        ratios[(p, q)] = trajectory_mixed_norm(full, p, q) / u0_l2
-
-    if store_every is None:
-        store_every = max(1, int(math.ceil(len(times) / 256)))
-    keep = list(range(0, len(times), store_every))
-    if keep[-1] != len(times) - 1:
-        keep.append(len(times) - 1)
-    stored = Trajectory(times=times[keep], states=[all_states[i] for i in keep],
-                        energy_log=energies[keep])
-    e0 = energies[0]
-    drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
+    norms = {q: np.array([lq_norms(u.values, grid, q) for u in all_states])
+             for q in {q for _, q in pair_list} - {TWO}}
+    norms[TWO] = np.concatenate(all_energies)
+    stride = _stride(store_every, len(times))
+    kept = [j for j in range(len(times)) if j % stride == 0 or j == len(times) - 1]
     k = len(part.pieces)
     c_hat = 1.0 / (2.0 * tau)
-    return SolveReport(
-        trajectory=stored,
-        energy_drift=drift,
-        contraction_factors=factors,
-        partition=part,
-        iterations=iterations,
-        residuals=residuals,
-        strichartz_ratios=ratios,
-        tau=tau,
-        c_hat=c_hat,
-        constant_bound=k * (1.0 + 2.0 * c_hat) ** k,
-    )
+    return _report(times, norms, pair_list, kept,
+                   [all_states[j] for j in kept], contraction_factors=factors,
+                   partition=part, iterations=iterations, residuals=residuals,
+                   tau=tau, c_hat=c_hat, constant_bound=k * (1.0 + 2.0 * c_hat) ** k)
 
 
 def calibrate_tau(

@@ -163,14 +163,22 @@ def free_multiplier(grid: Grid, t: float) -> np.ndarray:
     return np.exp(1j * t * _ksq(grid))
 
 
+def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None) -> np.ndarray:
+    """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a
+    free_multiplier of the step length h and phase the potential half-phase
+    P = exp(i (h/2) V); phase None (P = 1) makes it exact free propagation."""
+    if phase is None:
+        return np.fft.ifftn(kin * np.fft.fftn(a))
+    return phase * np.fft.ifftn(kin * np.fft.fftn(phase * a))
+
+
 def free_propagate(u: ComplexField, t: float) -> ComplexField:
     """Evolve u under i u_t - Lap(u) = 0 for time t (exact on the grid)."""
     if not math.isfinite(t):
         raise PreconditionError("propagation time must be finite")
     if t == 0.0:
         return u
-    hat = np.fft.fftn(u.values) * free_multiplier(u.grid, t)
-    return ComplexField(u.grid, np.fft.ifftn(hat))
+    return ComplexField(u.grid, strang_step(u.values, free_multiplier(u.grid, t)))
 
 
 def lq_norms(values: np.ndarray, grid: Grid, q: QLike) -> np.ndarray:

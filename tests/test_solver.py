@@ -152,7 +152,7 @@ class TestSplitStep:
 
     def test_inadmissible_pair_rejected(self, standing1d):
         grid, W, u0 = standing1d
-        with pytest.raises(Exception):
+        with pytest.raises(PreconditionError):
             split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.1), dt=1e-2,
                               pairs=[(4, 4)])  # no admissible pairs for n = 1
 
@@ -233,6 +233,38 @@ class TestPotentialSampler:
         calls = self.sampled_times(PseudoconformalPotential(W), grid, times, monkeypatch)
         assert calls == times
 
+    @pytest.mark.parametrize("kind", ["zero", "static", "patched"])
+    def test_phase_built_once_per_key_and_step(self, standing1d, kind):
+        grid, W, _ = standing1d
+        if kind == "zero":
+            V, same, other = ZeroPotential(), (0.0, 0.7), 0.9
+        elif kind == "static":
+            V, same, other = StaticPotential(W), (0.0, 0.7), 0.9
+        else:
+            sk = ScheduleKind.LOCAL
+            sched = Schedule(kind=sk, params=ScheduleParams(alpha=2, beta=4, kind=sk), n=1,
+                             windows=(Window(1, 0.0, 0.5, 1.0), Window(2, 0.5, 0.25, 1.1)),
+                             total_time=1.0)
+            V, same, other = PatchedRescaledPotential(W, sched), (0.1, 0.4), 0.6
+        sampler = PotentialSampler(V, grid)
+        first = sampler.phase_at(same[0], 0.01)
+        np.testing.assert_array_equal(first,
+                                      np.exp(1j * (0.01 / 2) * sampler.values_at(same[0])))
+        assert sampler.phase_at(same[1], 0.01) is first
+        assert sampler.phase_at(same[0], 0.005) is not first
+        assert sampler.phase_at(same[0], 0.005) is sampler.phase_at(same[1], 0.005)
+        if kind == "patched":
+            assert sampler.phase_at(other, 0.01) is not first
+        else:
+            assert sampler.phase_at(other, 0.01) is first
+
+    def test_pseudoconformal_phase_never_cached(self, standing1d):
+        grid, W, _ = standing1d
+        sampler = PotentialSampler(PseudoconformalPotential(W), grid)
+        first = sampler.phase_at(0.9, 0.01)
+        assert sampler.phase_at(0.9, 0.01) is not first
+        np.testing.assert_array_equal(first, np.exp(1j * (0.01 / 2) * sampler.values_at(0.9)))
+
 
 class TestDuhamel:
     def test_zero_potential_one_iteration(self, standing1d):
@@ -285,6 +317,44 @@ class TestDuhamel:
         V = StaticPotential(real_profile(grid, 40.0 * W.values.real))
         with pytest.raises(NonContractionError):
             duhamel_iterate(u0, None, V, (0.0, 1.0), dt=0.01, maxit=8)
+
+    def test_buffers_beyond_memory_rejected(self, monkeypatch):
+        # 10^7 + 1 samples of 512^2 points need about 168 TB of buffers
+        def never(*args):
+            raise AssertionError("the potential was sampled before the size check")
+
+        monkeypatch.setattr(solver, "evaluate", never)
+        u0 = gaussian_field(make_grid(2, 10.0, 512), sigma=1.0)
+        with pytest.raises(PreconditionError, match="GiB"):
+            duhamel_iterate(u0, None, ZeroPotential(), (0.0, 1.0), dt=1e-7)
+
+
+class TestDuhamelOrder:
+    """The trapezoid Duhamel discretization is second order in dt: against
+    the standing wave exp(-it) u0, halving dt quarters the L^inf_t L^2 error."""
+
+    @staticmethod
+    def error(traj, u0):
+        vol = u0.grid.cell_volume
+        return max(np.sqrt(np.sum(np.abs(s.values - np.exp(-1j * t) * u0.values) ** 2) * vol)
+                   for t, s in zip(traj.times, traj.states)) / lq_norm(u0, 2)
+
+    @pytest.mark.parametrize("dim", ["standing1d", "standing2d"])
+    @pytest.mark.parametrize("route", ["duhamel", "frozen", "global"])
+    def test_second_order(self, request, dim, route):
+        grid, W, u0 = request.getfixturevalue(dim)
+        V = StaticPotential(W)
+        errors = []
+        for dt in (0.02, 0.01, 0.005):
+            if route == "global":
+                traj = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=1.0, dt=dt, tol=1e-12,
+                                    pairs=[], store_every=1).trajectory
+            else:
+                run = duhamel_iterate if route == "duhamel" else frozen_duhamel
+                traj = run(u0, None, V, (0.0, 0.25), dt, tol=1e-12).trajectory
+            errors.append(self.error(traj, u0))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert orders.min() >= 1.9, orders
 
 
 class TestFrozenDuhamel:
@@ -363,6 +433,21 @@ class TestSolveGlobal:
                                store_every=1)
         assert linf_l2_gap(rep.trajectory, ss.trajectory, lq_norm(u0, 2)) < 1e-3
         assert rep.energy_drift < 1e-6
+
+    def test_inadmissible_pair_rejected_before_any_piece(self, standing1d, monkeypatch):
+        grid, W, u0 = standing1d
+        calls = []
+        real = solver.duhamel_iterate
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "duhamel_iterate", counting)
+        with pytest.raises(PreconditionError):
+            solve_global(u0, None, StaticPotential(W), (0.0, 1.0), 2, 2, tau=1.0, dt=0.01,
+                         pairs=[(4, 4)])  # no admissible pairs for n = 1
+        assert calls == []
 
     def test_report_contents(self, standing2d):
         grid, W, u0 = standing2d
