@@ -57,7 +57,6 @@ from .spectral import (
     Grid,
     Trajectory,
     dispersive_decay_fit,
-    field_from_function,
     free_propagate,
     gaussian_field,
     lq_norm,

@@ -536,16 +536,16 @@ def run_criterion(key: str, ctx: Optional[AcceptanceContext] = None) -> Criterio
     raise KeyError(f"unknown criterion {key}")
 
 
-def run_all(keys: Optional[Sequence[str]] = None, verbose: bool = False,
-            printer: Callable[[str], None] = print) -> List[CriterionResult]:
+def run_all(keys: Optional[Sequence[str]] = None,
+            verbose: bool = False) -> List[CriterionResult]:
     ctx = AcceptanceContext()
     selected = keys or [k for k, _, _, _ in CRITERIA]
     results = []
     for key in selected:
         result = run_criterion(key, ctx)
-        printer(result.line())
+        print(result.line())
         if verbose or not result.passed:
             for line in result.detail_lines():
-                printer(line)
+                print(line)
         results.append(result)
     return results

@@ -86,41 +86,26 @@ class ExperimentConfig:
     def get_str(self, section, key, default=None, required=False):
         return self._raw(section, key, default, required)
 
-    def get_int(self, section, key, default=None, required=False):
+    def _typed(self, section, key, default, required, convert, what):
         raw = self._raw(section, key, None, required)
         if raw is None:
             return default
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+            return convert(raw)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
+
+    def get_int(self, section, key, default=None, required=False):
+        return self._typed(section, key, default, required, int, "an integer")
 
     def get_float(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        return self._typed(section, key, default, required, float, "a number")
 
     def get_exponent(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return Exponent(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an exponent") from exc
+        return self._typed(section, key, default, required, Exponent, "an exponent")
 
     def get_fraction(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return Fraction(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a rational") from exc
+        return self._typed(section, key, default, required, Fraction, "a rational")
 
 
 def parse_pairs(text: str) -> List[Tuple[Exponent, Exponent]]:
@@ -146,18 +131,11 @@ def parse_pairs(text: str) -> List[Tuple[Exponent, Exponent]]:
 # Potential spec <-> config
 
 
-def potential_to_config(
-    V: PotentialSpec,
-    profile_path: Optional[str] = None,
-    section: str = "potential",
-    extra: Optional[Dict[str, str]] = None,
-) -> Dict[str, Dict[str, str]]:
+def potential_to_config(V: PotentialSpec, profile_path: Optional[str] = None,
+                        section: str = "potential") -> Dict[str, Dict[str, str]]:
     """Config sections describing a potential; profiles are referenced by
-    snapshot path (the caller is responsible for writing them).  Keys in
-    ``extra`` never override the ones describing the potential."""
-    sections = V.config_sections(section, profile_path)
-    sections[section] = {**(extra or {}), **sections[section]}
-    return sections
+    snapshot path (the caller is responsible for writing them)."""
+    return V.config_sections(section, profile_path)
 
 
 def potential_from_config(

@@ -31,7 +31,10 @@ class Exponent:
             if text in ("inf", "infinity", "oo"):
                 self._value = None
                 return
-            value = Fraction(text)
+            try:
+                value = Fraction(text)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"exponent {value!r} has a zero denominator") from exc
         if isinstance(value, float):
             if math.isinf(value) and value > 0:
                 self._value = None

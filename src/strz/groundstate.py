@@ -10,12 +10,15 @@ into a standing wave: u(t) = exp(-it) f solves i u_t - Lap(u) + W u = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, EmptyConstraintError, PreconditionError
 from .spectral import ComplexField, Grid, _ksq, gaussian_field
+
+GROUND_TOL = 1e-11  # relative Euler-Lagrange residual at which iteration stops
+GROUND_MAXIT = 3000
 
 
 def helmholtz_apply(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -51,17 +54,15 @@ def _residual(fvals: np.ndarray, wvals: np.ndarray, mu: float, grid: Grid) -> fl
     return float(np.linalg.norm(r) / np.linalg.norm(fvals))
 
 
-def ground_pair(w: ComplexField, grid: Optional[Grid] = None,
-                tol: float = 1e-11, maxit: int = 3000) -> GroundPair:
+def ground_pair(w: ComplexField) -> GroundPair:
     """Smallest positive generalized eigenvalue of (-Lap + 1) f = mu w f.
 
     Power iteration on (-Lap + 1)^(-1)(w .) from a positive seed; mu is the
     reciprocal of the converged L^2 Rayleigh quotient of that operator, so
     the variational identity mu = integral(|grad f|^2 + |f|^2) on the
-    constraint set is a genuine independent check, not a tautology.
+    constraint set is a genuine independent check, not a tautology.  Stops
+    once the residual is below GROUND_TOL, or raises after GROUND_MAXIT steps.
     """
-    if grid is not None and grid != w.grid:
-        raise PreconditionError("weight is defined on a different grid")
     grid = w.grid
     if np.abs(w.values.imag).max() != 0.0:
         raise PreconditionError("constraint weight must be real valued")
@@ -73,7 +74,7 @@ def ground_pair(w: ComplexField, grid: Optional[Grid] = None,
     f /= np.linalg.norm(f)
     lam = 0.0
     mu = np.inf
-    for it in range(1, maxit + 1):
+    for it in range(1, GROUND_MAXIT + 1):
         g = helmholtz_solve(wvals * f, grid).real
         lam = float(np.dot(f.ravel(), g.ravel()))  # L2 Rayleigh quotient, ||f|| = 1
         nrm = np.linalg.norm(g)
@@ -81,11 +82,11 @@ def ground_pair(w: ComplexField, grid: Optional[Grid] = None,
             raise ConvergenceError("iteration collapsed to zero; weight too degenerate")
         f = g / nrm
         mu = 1.0 / lam
-        if it % 5 == 0 or it == maxit:
-            if _residual(f, wvals, mu, grid) < tol:
+        if it % 5 == 0 or it == GROUND_MAXIT:
+            if _residual(f, wvals, mu, grid) < GROUND_TOL:
                 break
     res = _residual(f, wvals, mu, grid)
-    if res >= tol:
+    if res >= GROUND_TOL:
         raise ConvergenceError(
             f"inverse iteration stagnated: residual {res:.3e} after {it} iterations"
         )
@@ -121,19 +122,6 @@ def standing_wave_residual(W: ComplexField, u0: ComplexField) -> float:
     grid = u0.grid
     r = helmholtz_apply(u0.values, grid) + W.values * u0.values
     return float(np.linalg.norm(r) / np.linalg.norm(u0.values))
-
-
-def spectral_decay(f: ComplexField, nbins: int = 8) -> np.ndarray:
-    """Diagnostic: max |fhat| over radial frequency bins (smoothness proxy)."""
-    grid = f.grid
-    hat = np.abs(np.fft.fftn(f.values))
-    k = np.sqrt(_ksq(grid))
-    kmax = k.max()
-    out = np.empty(nbins)
-    for i in range(nbins):
-        mask = (k >= i * kmax / nbins) & (k < (i + 1) * kmax / nbins)
-        out[i] = hat[mask].max() if mask.any() else 0.0
-    return out
 
 
 def default_weight(grid: Grid, sigma: float = 1.0, amplitude: float = 1.0) -> ComplexField:

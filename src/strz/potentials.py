@@ -151,11 +151,10 @@ class ZeroPotential:
     def grid(self) -> Optional[Grid]:
         return None
 
-    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> ComplexField:
         return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid],
-                      mass_tol: Optional[float]) -> NormFunction:
+    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         return lambda t: 0.0
 
     def sample_key(self, t: float) -> Hashable:
@@ -197,12 +196,11 @@ class ProfilePotential:
 class StaticPotential(ProfilePotential):
     kind = "static"
 
-    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> ComplexField:
         self._check_grid(grid)
         return self.profile
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid],
-                      mass_tol: Optional[float]) -> NormFunction:
+    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
         return lambda t: base
 
@@ -223,16 +221,15 @@ class PatchedRescaledPotential(ProfilePotential):
         if self.schedule.n != self.profile.grid.n:
             raise PreconditionError("schedule dimension does not match profile grid")
 
-    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> ComplexField:
         self._check_grid(grid)
         w = self.schedule.window_at(t)
         if w is None:
             return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
-        scaled = rescale_field(self.profile, w.eps, mass_tol)
+        scaled = rescale_field(self.profile, w.eps)
         return ComplexField(grid, (w.eps**2) * scaled.values)
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid],
-                      mass_tol: Optional[float]) -> NormFunction:
+    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
         expo = 2.0 - self.profile.grid.n * float(s.reciprocal)
 
@@ -260,15 +257,14 @@ class PseudoconformalPotential(ProfilePotential):
 
     kind = "pseudoconformal"
 
-    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> ComplexField:
         self._check_grid(grid)
         if t <= 0.0:
             raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-        scaled = rescale_field(self.profile, 1.0 / t, mass_tol)
+        scaled = rescale_field(self.profile, 1.0 / t)
         return ComplexField(grid, scaled.values / t**2)
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid],
-                      mass_tol: Optional[float]) -> NormFunction:
+    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
         expo = self.profile.grid.n * float(s.reciprocal) - 2.0
 
@@ -296,18 +292,17 @@ class SumPotential:
     def grid(self) -> Optional[Grid]:
         return next((term.grid for term, _, _ in self.terms if term.grid is not None), None)
 
-    def field_at(self, t: float, grid: Grid, mass_tol: Optional[float]) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> ComplexField:
         acc = np.zeros(grid.shape, dtype=np.complex128)
         for term, _, _ in self.terms:
-            acc = acc + term.field_at(t, grid, mass_tol).values
+            acc = acc + term.field_at(t, grid).values
         return ComplexField(grid, acc)
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid],
-                      mass_tol: Optional[float]) -> NormFunction:
+    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         g = grid or self.grid
         if g is None:
             raise PreconditionError("sum of grid-free potentials needs an explicit grid")
-        return lambda t: lq_norm(self.field_at(t, g, mass_tol), s)
+        return lambda t: lq_norm(self.field_at(t, g), s)
 
     def sample_key(self, t: float) -> Hashable:
         return None
@@ -336,10 +331,10 @@ def real_profile(grid: Grid, values: np.ndarray) -> ComplexField:
     return ComplexField(grid, vals.astype(np.complex128))
 
 
-def evaluate(V: PotentialSpec, t: float, grid: Grid,
-             mass_tol: Optional[float] = None) -> ComplexField:
-    """The potential at time t as a real-valued field on the grid."""
-    return V.field_at(t, grid, mass_tol)
+def evaluate(V: PotentialSpec, t: float, grid: Grid) -> ComplexField:
+    """The potential at time t as a real-valued field on the grid; rescaled
+    profiles are guarded at the box tolerance spectral.DEFAULT_MASS_TOL."""
+    return V.field_at(t, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +342,7 @@ def evaluate(V: PotentialSpec, t: float, grid: Grid,
 
 
 def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Interval,
-               dt: float = DEFAULT_DT, grid: Optional[Grid] = None,
-               mass_tol: Optional[float] = None) -> float:
+               dt: float = DEFAULT_DT, grid: Optional[Grid] = None) -> float:
     """||V||_{L^r(interval; L^s)} by composite trapezoid over uniform samples.
 
     Spatial norms per sample come from the variant's norm_function, which is
@@ -357,7 +351,7 @@ def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Int
     """
     r, s = as_exponent(r), as_exponent(s)
     ts, _ = time_lattice(interval, dt)
-    fn = V.norm_function(s, grid, mass_tol)
+    fn = V.norm_function(s, grid)
     return time_lp([fn(float(t)) for t in ts], ts, r)
 
 
@@ -471,15 +465,14 @@ class PartitionResult:
 
 
 def slice_powers(V: PotentialSpec, r: Exponent, s: Exponent, interval: Interval,
-                 dt: float, grid: Optional[Grid] = None,
-                 mass_tol: Optional[float] = None) -> Tuple[np.ndarray, float]:
+                 dt: float, grid: Optional[Grid] = None) -> Tuple[np.ndarray, float]:
     """Midpoint-rule r-th powers of the slice norms on a uniform slice lattice.
 
     Midpoint sampling makes the powers exact for potentials that are constant
     on each slice (window schedules aligned to the lattice).
     """
     ts, dt_eff = time_lattice(interval, dt)
-    fn = V.norm_function(s, grid, mass_tol)
+    fn = V.norm_function(s, grid)
     norms = np.array([fn(float(t)) for t in ts[:-1] + dt_eff / 2.0])
     if r.is_infinite:
         return norms, dt_eff  # interpret values as slice sup norms
@@ -488,8 +481,7 @@ def slice_powers(V: PotentialSpec, r: Exponent, s: Exponent, interval: Interval,
 
 def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
                        interval: Interval, tau: float, dt: float = DEFAULT_DT,
-                       grid: Optional[Grid] = None,
-                       mass_tol: Optional[float] = None) -> PartitionResult:
+                       grid: Optional[Grid] = None) -> PartitionResult:
     """Greedy left-to-right partition into pieces of mixed norm at most tau.
 
     Slices of width ~dt are accumulated until the running r-th power of the
@@ -501,7 +493,7 @@ def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
     r, s = as_exponent(r), as_exponent(s)
     if not tau > 0:
         raise PreconditionError(f"threshold tau must be positive, got {tau}")
-    powers, dt_eff = slice_powers(V, r, s, interval, dt, grid=grid, mass_tol=mass_tol)
+    powers, dt_eff = slice_powers(V, r, s, interval, dt, grid=grid)
     a, b = float(interval[0]), float(interval[1])
     m = len(powers)
     slack = 1.0 + 1e-12

@@ -52,6 +52,7 @@ from .spectral import (
 SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
 
 DEFAULT_Q_FALLBACK = 8  # endpoint space exponent for n <= 2
+CALIBRATION_FACTOR = 0.5  # largest contraction factor a calibrated tau allows
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
@@ -94,17 +95,17 @@ class PotentialSampler:
     """Evaluates V(t) on a grid, and its Strang half-phases, caching both for
     piecewise-static specs under the variant's sample_key."""
 
-    def __init__(self, V: PotentialSpec, grid: Grid, mass_tol: Optional[float] = None):
-        self.V, self.grid, self.mass_tol = V, grid, mass_tol
+    def __init__(self, V: PotentialSpec, grid: Grid):
+        self.V, self.grid = V, grid
         self._cache: Dict[Hashable, np.ndarray] = {}
         self._phases: Dict[Tuple[Hashable, float], np.ndarray] = {}
 
     def values_at(self, t: float) -> np.ndarray:
         key = self.V.sample_key(t)
         if key is None:
-            return evaluate(self.V, t, self.grid, self.mass_tol).values.real
+            return evaluate(self.V, t, self.grid).values.real
         if key not in self._cache:
-            self._cache[key] = evaluate(self.V, t, self.grid, self.mass_tol).values.real
+            self._cache[key] = evaluate(self.V, t, self.grid).values.real
         return self._cache[key]
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
@@ -211,7 +212,6 @@ def split_step_evolve(
     store_every: Optional[int] = None,
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
     step_probe: Optional[Callable[[float, np.ndarray], None]] = None,
-    mass_tol: Optional[float] = None,
 ) -> SolveReport:
     """Strang splitting: half potential phase exp(i V(t_mid) dt/2), exact
     free step, half phase again; sources enter through a midpoint Duhamel
@@ -221,7 +221,7 @@ def split_step_evolve(
     pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
     times, dt_eff = time_lattice(interval, dt)
     m = len(times) - 1
-    sampler = PotentialSampler(V, grid, mass_tol)
+    sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
     kin_half = free_multiplier(grid, dt_eff / 2.0)
     stride = _stride(store_every, m)
@@ -238,7 +238,7 @@ def split_step_evolve(
             step_probe(float(times[j]), uvals)
         if j % stride == 0 or j == m:
             kept.append(j)
-            stored.append(ComplexField(grid, uvals.copy()))
+            stored.append(ComplexField(grid, uvals))
 
     record(0, u)
     for j in range(m):
@@ -270,7 +270,6 @@ def _duhamel_run(
     tol: float,
     maxit: int,
     q_fallback: int,
-    mass_tol: Optional[float],
     frozen: bool,
 ) -> DuhamelResult:
     grid = u0.grid
@@ -280,7 +279,7 @@ def _duhamel_run(
     if need > PHYSICAL_MEMORY:
         raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
                                 f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
-    sampler = PotentialSampler(V, grid, mass_tol)
+    sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
     half = dt_eff / 2.0  # trapezoid weight
     vvals = [sampler.values_at(float(t)) for t in times]
@@ -351,8 +350,7 @@ def _duhamel_run(
 
 def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
                     dt: float, tol: float = 1e-8, maxit: int = 30,
-                    q_fallback: int = DEFAULT_Q_FALLBACK,
-                    mass_tol: Optional[float] = None) -> DuhamelResult:
+                    q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
     """Fixed point of Phi(v) = exp(it Lap) u0 - i Duhamel[F - V v] on a piece.
 
     Starts from the free evolution; stops when the Z-norm of successive
@@ -360,18 +358,17 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     NonContractionError when maxit is hit, which signals the piece's mixed
     potential norm is too large.
     """
-    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, mass_tol, frozen=False)
+    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, frozen=False)
 
 
 def frozen_duhamel(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
                    dt: float, tol: float = 1e-8, maxit: int = 30,
-                   q_fallback: int = DEFAULT_Q_FALLBACK,
-                   mass_tol: Optional[float] = None) -> DuhamelResult:
+                   q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
     """Duhamel iteration around the frozen-coefficient group exp(itH) with
     H = Lap - V(t0, .): the perturbation is W(t) = V(t) - V(t0), which is
     small on short pieces for potentials continuous in time.  The inner
     propagator is realized by split-stepping the static frozen potential."""
-    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, mass_tol, frozen=True)
+    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, frozen=True)
 
 
 def solve_global(
@@ -388,7 +385,6 @@ def solve_global(
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
     q_fallback: int = DEFAULT_Q_FALLBACK,
     store_every: Optional[int] = None,
-    mass_tol: Optional[float] = None,
 ) -> SolveReport:
     """Partition-and-chain solve: split the interval into pieces whose mixed
     potential norm is below tau, run the Duhamel iteration piece by piece
@@ -397,7 +393,7 @@ def solve_global(
     grid = u0.grid
     pair_list = [admissible_pair(p, q, grid.n) for p, q in
                  (pairs if pairs is not None else default_pairs(grid.n))]
-    part = partition_interval(V, r, s, interval, tau, dt, grid=grid, mass_tol=mass_tol)
+    part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
     all_times: List[np.ndarray] = []
     all_states: List[ComplexField] = []
     all_energies: List[np.ndarray] = []
@@ -406,8 +402,7 @@ def solve_global(
     residuals: List[float] = []
     state = u0
     for idx, (a, b) in enumerate(part.pieces):
-        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol, maxit,
-                                 q_fallback, mass_tol)
+        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol, maxit, q_fallback)
         factors.append(result.factors)
         iterations.append(result.iterations)
         residuals.append(result.residual)
@@ -440,7 +435,6 @@ def calibrate_tau(
     s: Optional[ExponentLike] = None,
     cap: float = 8.0,
     rounds: int = 12,
-    target: float = 0.5,
     tol: float = 1e-6,
     maxit: int = 12,
     q_fallback: int = DEFAULT_Q_FALLBACK,
@@ -448,7 +442,7 @@ def calibrate_tau(
 ) -> float:
     """Largest tau on a bisection grid such that every reference potential,
     partitioned at tau, yields Duhamel runs whose contraction factors stay
-    at or below ``target`` on every piece.
+    at or below CALIBRATION_FACTOR on every piece.
 
     Stands in for the non-constructive smallness threshold (2 C0)^-1: the
     returned tau defines the calibrated constant c_hat = 1/(2 tau) used in
@@ -469,7 +463,7 @@ def calibrate_tau(
                 for piece in part.pieces:
                     res = duhamel_iterate(probe_state, None, V, piece, dt,
                                           tol, maxit, q_fallback)
-                    if res.factors and max(res.factors) > target:
+                    if res.factors and max(res.factors) > CALIBRATION_FACTOR:
                         return False
             except (NonContractionError, PartitionError):
                 return False

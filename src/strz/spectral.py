@@ -10,17 +10,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PreconditionError, SupportEscapeError
 from .exponents import Exponent, as_exponent
 
-# Fraction of |u|^2 mass tolerated in the outer 10% shell of the box before
-# rescaling / decay fits refuse to trust the periodic truncation.
+# Fraction of |u|^2 mass tolerated in the outer 10% shell of the box before a
+# rescaling refuses to trust the periodic truncation; every potential
+# evaluation guards at this default.
 DEFAULT_MASS_TOL = 1e-8
 SHELL_FRACTION = 0.9
+DECAY_FIT_TIMES = 16  # sample times of a dispersive-decay fit
 
 QLike = Union[Exponent, int, Fraction, str]
 
@@ -116,14 +118,6 @@ class ComplexField:
         if vals.flags.writeable:
             vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def map(self, fn) -> "ComplexField":
-        return ComplexField(self.grid, fn(self.values))
-
-
-def field_from_function(grid: Grid, fn: Callable[..., np.ndarray]) -> ComplexField:
-    """Sample fn(x1, ..., xn) on the grid."""
-    return ComplexField(grid, np.asarray(fn(*grid.coords()), dtype=np.complex128))
 
 
 def gaussian_field(grid: Grid, sigma: float = 1.0, amplitude: float = 1.0,
@@ -226,12 +220,11 @@ def shell_mass_fraction(values: np.ndarray, grid: Grid) -> float:
     return float(mass[shell].sum() / total)
 
 
-def check_support(values: np.ndarray, grid: Grid, mass_tol: Optional[float], what: str) -> None:
-    tol = DEFAULT_MASS_TOL if mass_tol is None else mass_tol
+def check_support(values: np.ndarray, grid: Grid, mass_tol: float, what: str) -> None:
     frac = shell_mass_fraction(values, grid)
-    if frac > tol:
+    if frac > mass_tol:
         raise SupportEscapeError(
-            f"{what}: outer-shell mass fraction {frac:.3e} exceeds tolerance {tol:.3e}"
+            f"{what}: outer-shell mass fraction {frac:.3e} exceeds tolerance {mass_tol:.3e}"
         )
 
 
@@ -257,7 +250,7 @@ def _interp_matrix(grid: Grid, eps: float) -> np.ndarray:
     return E
 
 
-def rescale_field(f: ComplexField, eps: float, mass_tol: Optional[float] = None) -> ComplexField:
+def rescale_field(f: ComplexField, eps: float, mass_tol: float = DEFAULT_MASS_TOL) -> ComplexField:
     """Band-limited sampling of x -> f(eps x) on the same grid.
 
     Satisfies the change-of-variables identity ||f_eps||_q = eps^(-n/q) ||f||_q
@@ -292,13 +285,9 @@ class DecayFit:
     intercept: float
 
 
-def dispersive_decay_fit(
-    u0: ComplexField,
-    t_range: tuple,
-    num: int = 16,
-    mass_tol: float = 1e-3,
-) -> DecayFit:
-    """Fit log ||exp(it Lap) u0||_inf against log t over log-spaced times.
+def dispersive_decay_fit(u0: ComplexField, t_range: tuple, mass_tol: float = 1e-3) -> DecayFit:
+    """Fit log ||exp(it Lap) u0||_inf against log t at DECAY_FIT_TIMES
+    log-spaced times.
 
     For integrable profiles the slope approaches -n/2.  Raises
     SupportEscapeError once the evolved state no longer fits the box.
@@ -306,8 +295,8 @@ def dispersive_decay_fit(
     t0, t1 = t_range
     if not 0 < t0 < t1:
         raise PreconditionError("need 0 < t0 < t1 for a log-log fit")
-    ts = np.geomspace(t0, t1, num)
-    sups = np.empty(num)
+    ts = np.geomspace(t0, t1, DECAY_FIT_TIMES)
+    sups = np.empty(DECAY_FIT_TIMES)
     for i, t in enumerate(ts):
         ut = free_propagate(u0, float(t))
         check_support(ut.values, u0.grid, mass_tol, f"decay fit at t={t:.3g}")

@@ -57,6 +57,11 @@ n_points = 64
             cfg.get_int("a", "y")
         with pytest.raises(ConfigError):
             cfg.get_int("a", "missing", required=True)
+        zero = ExperimentConfig.parse("[a]\nalpha = 1/0\n")
+        with pytest.raises(ConfigError, match="is not a rational"):
+            zero.get_fraction("a", "alpha")
+        with pytest.raises(ConfigError, match="is not an exponent"):
+            zero.get_exponent("a", "alpha")
 
     def test_malformed(self):
         with pytest.raises(ConfigError):
@@ -68,6 +73,8 @@ n_points = 64
         assert pairs[2][0].is_infinite
         with pytest.raises(ConfigError):
             parse_pairs("2;6")
+        with pytest.raises(ConfigError, match="bad pair"):
+            parse_pairs("1/0,2")
 
 
 class TestPotentialConfig:
@@ -151,6 +158,12 @@ class TestCliBasics:
         with pytest.raises(SystemExit) as exc:
             main(["admissible", "--p", "nonsense", "--q", "2", "--n", "3"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_admissible_zero_denominator_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["admissible", "--p", "1/0", "--q", "6", "--n", "3"])
+        assert exc.value.code == EXIT_USAGE
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_admissible_validation_error(self):
         assert main(["admissible", "--p", "2", "--q", "6", "--n", "1"]) == EXIT_VALIDATION
@@ -287,6 +300,18 @@ class TestCliPartition:
         )
         assert main(["partition", "--config", str(tmp_path / "part.cfg"),
                      "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+
+    def test_zero_denominator_validation_exit(self, tmp_path, capsys):
+        (tmp_path / "part.cfg").write_text(
+            "\n".join([
+                "[grid]", "n = 1", "l = 12.0", "n_points = 64", "",
+                "[potential]", "kind = zero", "",
+                "[partition]", "r = 1/0", "s = 2", "tau = 1.5", "t1 = 2.0",
+            ]) + "\n"
+        )
+        assert main(["partition", "--config", str(tmp_path / "part.cfg"),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "[partition] r = '1/0' is not an exponent" in capsys.readouterr().err
 
 
 class TestCliCounterexample:

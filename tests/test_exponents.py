@@ -41,6 +41,8 @@ class TestExponent:
             Exponent(F(1, 2))
         with pytest.raises(ValueError):
             Exponent(0)
+        with pytest.raises(ValueError, match="zero denominator"):
+            Exponent("1/0")
 
     def test_reciprocal_convention(self):
         assert INF.reciprocal == 0

@@ -11,7 +11,6 @@ from strz.groundstate import (
     h1_norm_sq,
     helmholtz_solve,
     mixture_weight,
-    spectral_decay,
     standing_wave_potential,
     standing_wave_residual,
 )
@@ -132,14 +131,8 @@ class TestStandingWave:
         _, u0 = standing_wave_potential(pair1d)
         T = 2.0
         times = np.linspace(0.0, T, 41)
-        states = [u0.map(lambda v, t=t: np.exp(-1j * t) * v) for t in times]
+        states = [ComplexField(u0.grid, np.exp(-1j * t) * u0.values) for t in times]
         traj = Trajectory(times=times, states=states, energy_log=np.ones(41))
         for p, q in [(2, 6), (4, 4)]:
             got = trajectory_mixed_norm(traj, p, q)
             assert got == pytest.approx(T ** (1 / p) * lq_norm(u0, q), rel=1e-12)
-
-    def test_spectral_decay_diagnostic(self, pair1d):
-        decay = spectral_decay(pair1d.f, nbins=6)
-        assert decay[0] > 0
-        # smooth eigenfunction: top-frequency content far below the peak
-        assert decay[-1] < 1e-6 * decay[0]

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from strz.errors import CalibrationError, NonContractionError, PreconditionError
+from strz.errors import (
+    CalibrationError,
+    NonContractionError,
+    PreconditionError,
+    SupportEscapeError,
+)
 from strz.exponents import Exponent
 from strz.groundstate import default_weight, ground_pair, standing_wave_potential
 from strz import solver
@@ -11,8 +16,11 @@ from strz.potentials import (
     PseudoconformalPotential,
     Schedule,
     StaticPotential,
+    SumPotential,
     Window,
     ZeroPotential,
+    evaluate,
+    partition_interval,
     real_profile,
     trajectory_mixed_norm,
 )
@@ -47,6 +55,14 @@ def standing1d():
 @pytest.fixture(scope="module")
 def standing2d():
     grid = make_grid(2, 10.0, 32)
+    gp = ground_pair(default_weight(grid, sigma=1.0))
+    W, u0 = standing_wave_potential(gp)
+    return grid, W, u0
+
+
+@pytest.fixture(scope="module")
+def standing3d():
+    grid = make_grid(3, 8.0, 16)
     gp = ground_pair(default_weight(grid, sigma=1.0))
     W, u0 = standing_wave_potential(gp)
     return grid, W, u0
@@ -201,9 +217,9 @@ class TestPotentialSampler:
         calls = []
         real = solver.evaluate
 
-        def counting(V, t, g, mass_tol=None):
+        def counting(V, t, g):
             calls.append(t)
-            return real(V, t, g, mass_tol)
+            return real(V, t, g)
 
         monkeypatch.setattr(solver, "evaluate", counting)
         sampler = PotentialSampler(V, grid)
@@ -339,15 +355,17 @@ class TestDuhamelOrder:
         return max(np.sqrt(np.sum(np.abs(s.values - np.exp(-1j * t) * u0.values) ** 2) * vol)
                    for t, s in zip(traj.times, traj.states)) / lq_norm(u0, 2)
 
-    @pytest.mark.parametrize("dim", ["standing1d", "standing2d"])
+    @pytest.mark.parametrize("dim", ["standing1d", "standing2d", "standing3d"])
     @pytest.mark.parametrize("route", ["duhamel", "frozen", "global"])
     def test_second_order(self, request, dim, route):
         grid, W, u0 = request.getfixturevalue(dim)
         V = StaticPotential(W)
+        # in 3D a single dt = 0.02 slice of this W already exceeds tau = 1
+        tau = 3.0 if grid.n == 3 else 1.0
         errors = []
         for dt in (0.02, 0.01, 0.005):
             if route == "global":
-                traj = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=1.0, dt=dt, tol=1e-12,
+                traj = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=tau, dt=dt, tol=1e-12,
                                     pairs=[], store_every=1).trajectory
             else:
                 run = duhamel_iterate if route == "duhamel" else frozen_duhamel
@@ -355,6 +373,39 @@ class TestDuhamelOrder:
             errors.append(self.error(traj, u0))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert orders.min() >= 1.9, orders
+
+
+class TestBoxGuard:
+    """Every route that rescales a potential profile guards the box at
+    spectral.DEFAULT_MASS_TOL: at T near 20 the pseudoconformal profile
+    W(X/T) puts 8.9e-2 of its mass in the outer shell."""
+
+    @pytest.fixture
+    def escaping(self, standing1d):
+        grid, W, u0 = standing1d
+        return grid, PseudoconformalPotential(W), u0, (19.9, 20.0)
+
+    def assert_guarded(self, call):
+        with pytest.raises(SupportEscapeError, match=r"exceeds tolerance 1\.000e-08"):
+            call()
+
+    def test_evaluate(self, escaping):
+        grid, V, _, (a, b) = escaping
+        self.assert_guarded(lambda: evaluate(V, 0.5 * (a + b), grid))
+
+    def test_split_step(self, escaping):
+        _, V, u0, piece = escaping
+        self.assert_guarded(lambda: split_step_evolve(u0, V, interval=piece, dt=0.05))
+
+    def test_duhamel(self, escaping):
+        _, V, u0, piece = escaping
+        self.assert_guarded(lambda: duhamel_iterate(u0, None, V, piece, dt=0.05))
+
+    def test_partition_of_sum(self, escaping):
+        grid, V, _, piece = escaping
+        V_sum = SumPotential(((V, Exponent(2), Exponent(2)),))
+        self.assert_guarded(lambda: partition_interval(V_sum, 2, 2, piece, tau=1.0, dt=0.05,
+                                                       grid=grid))
 
 
 class TestFrozenDuhamel:
