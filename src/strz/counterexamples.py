@@ -274,7 +274,7 @@ def window_crosscheck(
 
         rep = split_step_evolve(
             u0, StaticPotential(family.W), interval=(0.0, tau_len), dt=dt,
-            pairs=pairs, step_probe=probe,
+            store_every=max(1, round(tau_len / dt)), pairs=pairs, step_probe=probe,
         )
         norm_errors: Dict[Tuple[Exponent, Exponent], float] = {}
         for (p, q), ratio in rep.strichartz_ratios.items():

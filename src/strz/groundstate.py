@@ -10,6 +10,7 @@ into a standing wave: u(t) = exp(-it) f solves i u_t - Lap(u) + W u = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -21,21 +22,33 @@ GROUND_TOL = 1e-11  # relative Euler-Lagrange residual at which iteration stops
 GROUND_MAXIT = 3000
 
 
+@lru_cache(maxsize=8)
+def _symbol(grid: Grid) -> np.ndarray:
+    """1 + |xi|^2, the Fourier symbol of -Lap + 1."""
+    return 1.0 + _ksq(grid)
+
+
 def helmholtz_apply(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """(-Lap + 1) f via the spectral Laplacian."""
-    return np.fft.ifftn((1.0 + _ksq(grid)) * np.fft.fftn(f))
+    """(-Lap + 1) f via the spectral Laplacian, in one new complex buffer."""
+    out = np.array(f, dtype=np.complex128)
+    np.fft.fftn(out, out=out)
+    np.multiply(_symbol(grid), out, out=out)
+    return np.fft.ifftn(out, out=out)
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """(-Lap + 1)^(-1) f via the spectral Laplacian."""
-    return np.fft.ifftn(np.fft.fftn(f) / (1.0 + _ksq(grid)))
+    """(-Lap + 1)^(-1) f via the spectral Laplacian, in one new complex buffer."""
+    out = np.array(f, dtype=np.complex128)
+    np.fft.fftn(out, out=out)
+    np.divide(out, _symbol(grid), out=out)
+    return np.fft.ifftn(out, out=out)
 
 
 def h1_norm_sq(f: ComplexField) -> float:
     """integral(|grad f|^2 + |f|^2) computed in Fourier space (Parseval)."""
     g = f.grid
-    hat = np.fft.fftn(f.values)
-    return float(np.sum((1.0 + _ksq(g)) * np.abs(hat) ** 2) * g.cell_volume / g.npoints)
+    hat = np.fft.fftn(f.values, out=np.empty(g.shape, dtype=np.complex128))
+    return float(np.sum(_symbol(g) * np.abs(hat) ** 2) * g.cell_volume / g.npoints)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
 
 DEFAULT_Q_FALLBACK = 8  # endpoint space exponent for n <= 2
 CALIBRATION_FACTOR = 0.5  # largest contraction factor a calibrated tau allows
+CALIBRATION_TOL = 1e-6  # Duhamel stopping tolerance of the calibration runs
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
@@ -435,7 +436,6 @@ def calibrate_tau(
     s: Optional[ExponentLike] = None,
     cap: float = 8.0,
     rounds: int = 12,
-    tol: float = 1e-6,
     maxit: int = 12,
     q_fallback: int = DEFAULT_Q_FALLBACK,
     probe_state: Optional[ComplexField] = None,
@@ -462,7 +462,7 @@ def calibrate_tau(
                 part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
                 for piece in part.pieces:
                     res = duhamel_iterate(probe_state, None, V, piece, dt,
-                                          tol, maxit, q_fallback)
+                                          CALIBRATION_TOL, maxit, q_fallback)
                     if res.factors and max(res.factors) > CALIBRATION_FACTOR:
                         return False
             except (NonContractionError, PartitionError):

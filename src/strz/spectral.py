@@ -160,10 +160,18 @@ def free_multiplier(grid: Grid, t: float) -> np.ndarray:
 def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None) -> np.ndarray:
     """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a
     free_multiplier of the step length h and phase the potential half-phase
-    P = exp(i (h/2) V); phase None (P = 1) makes it exact free propagation."""
-    if phase is None:
-        return np.fft.ifftn(kin * np.fft.fftn(a))
-    return phase * np.fft.ifftn(kin * np.fft.fftn(phase * a))
+    P = exp(i (h/2) V); phase None (P = 1) makes it exact free propagation.
+
+    Makes exactly one allocation, the returned array: P a (or a copy of a)
+    is formed in it and both FFTs and products then run in place, so a is
+    never written and may be read-only."""
+    out = np.array(a, dtype=np.complex128) if phase is None else phase * a
+    np.fft.fftn(out, out=out)
+    np.multiply(kin, out, out=out)
+    np.fft.ifftn(out, out=out)
+    if phase is not None:
+        np.multiply(phase, out, out=out)
+    return out
 
 
 def free_propagate(u: ComplexField, t: float) -> ComplexField:
@@ -265,7 +273,7 @@ def rescale_field(f: ComplexField, eps: float, mass_tol: float = DEFAULT_MASS_TO
         return f
     check_support(f.values, f.grid, mass_tol, "rescale input")
     E = _interp_matrix(f.grid, float(eps))
-    out = np.fft.fftn(f.values)
+    out = np.fft.fftn(f.values, out=np.empty(f.grid.shape, dtype=np.complex128))
     for axis in range(f.grid.n):
         out = np.moveaxis(np.tensordot(E, out, axes=([1], [axis])), 0, axis)
     if np.abs(f.values.imag).max() == 0.0:

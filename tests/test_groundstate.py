@@ -3,19 +3,21 @@ import random
 import numpy as np
 import pytest
 
+from strz import groundstate
 from strz.errors import EmptyConstraintError, PreconditionError
 from strz.groundstate import (
     constraint_value,
     default_weight,
     ground_pair,
     h1_norm_sq,
+    helmholtz_apply,
     helmholtz_solve,
     mixture_weight,
     standing_wave_potential,
     standing_wave_residual,
 )
 from strz.potentials import trajectory_mixed_norm
-from strz.spectral import ComplexField, Trajectory, lq_norm, make_grid
+from strz.spectral import ComplexField, Trajectory, _ksq, lq_norm, make_grid
 
 
 def dense_oracle_mu(w, grid):
@@ -112,6 +114,29 @@ class TestGroundPair:
             assert gp.residual < 1e-10
             assert abs(gp.mu - h1_norm_sq(gp.f)) < 1e-8
             assert gp.mu > 0
+
+
+class TestHelmholtz:
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+    def test_solve_inverts_apply(self, n, N):
+        grid = make_grid(n, 8.0, N)
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal(grid.shape)
+        cplx = ComplexField(grid, real + 1j * rng.standard_normal(grid.shape)).values
+        for f in (real, cplx):
+            before = f.copy()
+            back = helmholtz_solve(helmholtz_apply(f, grid), grid)
+            np.testing.assert_array_equal(f, before)
+            assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
+
+    def test_ground_pair_matches_out_of_place_helmholtz(self, pair1d, monkeypatch):
+        monkeypatch.setattr(groundstate, "helmholtz_apply", lambda f, grid: np.fft.ifftn(
+            (1.0 + _ksq(grid)) * np.fft.fftn(f)))
+        monkeypatch.setattr(groundstate, "helmholtz_solve", lambda f, grid: np.fft.ifftn(
+            np.fft.fftn(f) / (1.0 + _ksq(grid))))
+        ref = ground_pair(pair1d.w)
+        assert ref.iterations == pair1d.iterations
+        assert abs(pair1d.mu - ref.mu) <= 1e-12 * ref.mu
 
 
 class TestStandingWave:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from strz.spectral import (
     ComplexField,
     Trajectory,
     dispersive_decay_fit,
+    free_multiplier,
     free_propagate,
     gaussian_field,
     lq_norm,
@@ -15,6 +18,7 @@ from strz.spectral import (
     make_grid,
     rescale_field,
     shell_mass_fraction,
+    strang_step,
 )
 
 
@@ -116,6 +120,56 @@ class TestFreePropagate:
         b = free_propagate(u, 0.75)
         diff = np.abs(a.values - b.values).max()
         assert diff < 1e-12 * np.abs(b.values).max()
+
+
+def reference_strang_step(a, kin, phase=None):
+    """Out-of-place form of the Strang step, one temporary per operation."""
+    if phase is None:
+        return np.fft.ifftn(kin * np.fft.fftn(a))
+    return phase * np.fft.ifftn(kin * np.fft.fftn(phase * a))
+
+
+def strang_operands(n, N, with_phase, seed=0):
+    g = make_grid(n, 8.0, N)
+    a = random_field(g, seed).values  # read-only, as every caller passes
+    kin = free_multiplier(g, 0.01)
+    rng = np.random.default_rng(seed + 1)
+    phase = np.exp(0.005j * rng.standard_normal(g.shape)) if with_phase else None
+    return a, kin, phase
+
+
+class TestStrangStep:
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_matches_out_of_place_reference(self, n, N, with_phase):
+        a, kin, phase = strang_operands(n, N, with_phase)
+        got = strang_step(a, kin, phase)
+        ref = reference_strang_step(a, kin, phase)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_input_untouched(self, with_phase):
+        a, kin, phase = strang_operands(2, 32, with_phase)
+        assert not a.flags.writeable
+        before = a.copy()
+        strang_step(a, kin, phase)
+        np.testing.assert_array_equal(a, before)
+        owned = before.copy()  # a writeable input is not written either
+        out = strang_step(owned, kin, phase)
+        np.testing.assert_array_equal(owned, before)
+        assert not np.shares_memory(out, owned)
+
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_one_allocation(self, with_phase):
+        a, kin, phase = strang_operands(3, 32, with_phase)
+        strang_step(a, kin, phase)  # warm numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            strang_step(a, kin, phase)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * a.nbytes
 
 
 class TestLqNorm:
