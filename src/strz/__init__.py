@@ -9,8 +9,8 @@ Core pieces:
                  band-limited rescaling
 * potentials  -- time-dependent potential specs, mixed L^r_t L^s_x norms,
                  greedy small-norm interval partitioning
-* solver      -- split-step evolution, Duhamel fixed-point iteration (free
-                 and frozen-potential variants), partition-and-chain solves
+* solver      -- split-step evolution, Duhamel fixed-point iteration around
+                 the free group, partition-and-chain solves
 * groundstate -- constrained variational eigenpairs and standing waves
 * counterexamples -- window cascades and the pseudoconformal family with
                  divergent Strichartz ratios
@@ -95,7 +95,6 @@ from .solver import (
     SolveReport,
     calibrate_tau,
     duhamel_iterate,
-    frozen_duhamel,
     solve_global,
     split_step_evolve,
     z_norm,

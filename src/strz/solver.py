@@ -10,9 +10,10 @@ Two routes are implemented and cross-validated:
   norm is small.  (The -i phase in front of the integral is irrelevant for
   norm estimates but required for the fixed point to solve the equation.)
 
-Both step with the one kernel ``spectral.strang_step``; its half-phases
-exp(i (h/2) V) come from ``PotentialSampler``, cached under the variant's
-sample_key like the values of V, and both build their report in ``_report``.
+Both step with the one kernel ``spectral.strang_step``; the split-step
+half-phases exp(i (h/2) V) come from ``PotentialSampler``, cached under the
+variant's sample_key like the values of V, and both build their report in
+``_report``.
 The discrete Duhamel integral uses the trapezoid rule at the sampling dt and
 is accumulated with the one-step propagator, so one sweep costs O(steps) FFTs.
 """
@@ -110,18 +111,14 @@ class PotentialSampler:
         return self._cache[key]
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
-        """Half-phase of V(t) for a Strang step of length h."""
+        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h."""
         key = self.V.sample_key(t)
-        if key is None:
-            return self.phase(self.values_at(t), h)
-        if (key, h) not in self._phases:
-            self._phases[(key, h)] = self.phase(self.values_at(t), h)
-        return self._phases[(key, h)]
-
-    @staticmethod
-    def phase(values: np.ndarray, h: float) -> np.ndarray:
-        """exp(i (h/2) V) of sampled potential values V."""
-        return np.exp(1j * (h / 2.0) * values)
+        if key is not None and (key, h) in self._phases:
+            return self._phases[(key, h)]
+        phase = np.exp(1j * (h / 2.0) * self.values_at(t))
+        if key is not None:
+            self._phases[(key, h)] = phase
+        return phase
 
 
 def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
@@ -133,8 +130,13 @@ def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
     return out.values
 
 
-def _stride(store_every: Optional[int], count: int) -> int:
-    return store_every if store_every is not None else max(1, math.ceil(count / 256))
+def _stride(store_every: Optional[int], steps: int) -> int:
+    """Store every store_every-th of the steps + 1 states, by default about 256."""
+    if store_every is None:
+        return max(1, math.ceil(steps / 256))
+    if store_every < 1:
+        raise PreconditionError(f"store_every must be at least 1, got {store_every}")
+    return store_every
 
 
 def default_pairs(n: int) -> List[Tuple[Exponent, Exponent]]:
@@ -262,17 +264,16 @@ class DuhamelResult:
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
 
 
-def _duhamel_run(
-    u0: ComplexField,
-    F: SourceLike,
-    V: PotentialSpec,
-    piece: Interval,
-    dt: float,
-    tol: float,
-    maxit: int,
-    q_fallback: int,
-    frozen: bool,
-) -> DuhamelResult:
+def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
+                    dt: float, tol: float = 1e-8, maxit: int = 30,
+                    q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
+    """Fixed point of Phi(v) = exp(it Lap) u0 - i Duhamel[F - V v] on a piece.
+
+    Starts from the free evolution; stops when the Z-norm of successive
+    differences falls below tol times the first increment.  Raises
+    NonContractionError when maxit is hit, which signals the piece's mixed
+    potential norm is too large.
+    """
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
@@ -284,16 +285,11 @@ def _duhamel_run(
     kin = free_multiplier(grid, dt_eff)
     half = dt_eff / 2.0  # trapezoid weight
     vvals = [sampler.values_at(float(t)) for t in times]
-
-    # frozen: propagate with the static V(t0), perturbed by W(t) = V(t) - V(t0)
-    phase = sampler.phase(vvals[0], dt_eff) if frozen else None
-    eff = [v - vvals[0] for v in vvals] if frozen else vvals
-
     fvals = [_source_at(F, float(t), grid) for t in times]
     base = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
     base[0] = u0.values
     for j in range(m):
-        base[j + 1] = strang_step(base[j], kin, phase)
+        base[j + 1] = strang_step(base[j], kin)
 
     def apply_phi(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -302,13 +298,13 @@ def _duhamel_run(
         g_prev = _g(0, v)
         for j in range(m):
             g_next = _g(j + 1, v)
-            integral = strang_step(integral + half * g_prev, kin, phase) + half * g_next
+            integral = strang_step(integral + half * g_prev, kin) + half * g_next
             out[j + 1] = base[j + 1] - 1j * integral
             g_prev = g_next
         return out
 
     def _g(j: int, v: np.ndarray) -> np.ndarray:
-        g = -eff[j] * v[j]
+        g = -vvals[j] * v[j]
         if fvals[j] is not None:
             g = g + fvals[j]
         return g
@@ -349,29 +345,6 @@ def _duhamel_run(
                          first_increment=d_first, residual=residual)
 
 
-def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
-                    dt: float, tol: float = 1e-8, maxit: int = 30,
-                    q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
-    """Fixed point of Phi(v) = exp(it Lap) u0 - i Duhamel[F - V v] on a piece.
-
-    Starts from the free evolution; stops when the Z-norm of successive
-    differences falls below tol times the first increment.  Raises
-    NonContractionError when maxit is hit, which signals the piece's mixed
-    potential norm is too large.
-    """
-    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, frozen=False)
-
-
-def frozen_duhamel(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
-                   dt: float, tol: float = 1e-8, maxit: int = 30,
-                   q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
-    """Duhamel iteration around the frozen-coefficient group exp(itH) with
-    H = Lap - V(t0, .): the perturbation is W(t) = V(t) - V(t0), which is
-    small on short pieces for potentials continuous in time.  The inner
-    propagator is realized by split-stepping the static frozen potential."""
-    return _duhamel_run(u0, F, V, piece, dt, tol, maxit, q_fallback, frozen=True)
-
-
 def solve_global(
     u0: ComplexField,
     F: SourceLike,
@@ -395,6 +368,7 @@ def solve_global(
     pair_list = [admissible_pair(p, q, grid.n) for p, q in
                  (pairs if pairs is not None else default_pairs(grid.n))]
     part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
+    stride = _stride(store_every, part.slice_count)
     all_times: List[np.ndarray] = []
     all_states: List[ComplexField] = []
     all_energies: List[np.ndarray] = []
@@ -417,7 +391,6 @@ def solve_global(
     norms = {q: np.array([lq_norms(u.values, grid, q) for u in all_states])
              for q in {q for _, q in pair_list} - {TWO}}
     norms[TWO] = np.concatenate(all_energies)
-    stride = _stride(store_every, len(times))
     kept = [j for j in range(len(times)) if j % stride == 0 or j == len(times) - 1]
     k = len(part.pieces)
     c_hat = 1.0 / (2.0 * tau)

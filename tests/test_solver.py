@@ -30,7 +30,6 @@ from strz.solver import (
     calibrate_tau,
     duhamel_iterate,
     endpoint_q,
-    frozen_duhamel,
     solve_global,
     split_step_evolve,
     z_norm,
@@ -356,7 +355,7 @@ class TestDuhamelOrder:
                    for t, s in zip(traj.times, traj.states)) / lq_norm(u0, 2)
 
     @pytest.mark.parametrize("dim", ["standing1d", "standing2d", "standing3d"])
-    @pytest.mark.parametrize("route", ["duhamel", "frozen", "global"])
+    @pytest.mark.parametrize("route", ["duhamel", "global"])
     def test_second_order(self, request, dim, route):
         grid, W, u0 = request.getfixturevalue(dim)
         V = StaticPotential(W)
@@ -368,10 +367,26 @@ class TestDuhamelOrder:
                 traj = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=tau, dt=dt, tol=1e-12,
                                     pairs=[], store_every=1).trajectory
             else:
-                run = duhamel_iterate if route == "duhamel" else frozen_duhamel
-                traj = run(u0, None, V, (0.0, 0.25), dt, tol=1e-12).trajectory
+                traj = duhamel_iterate(u0, None, V, (0.0, 0.25), dt, tol=1e-12).trajectory
             errors.append(self.error(traj, u0))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert orders.min() >= 1.9, orders
+
+    def test_time_dependent_potential_with_source(self, standing1d):
+        # V(t) and F(t) change at every sample, so each trapezoid node must read
+        # its own V; the gap to split-step is the O(dt^2) of both schemes
+        grid, W, u0 = standing1d
+        V = PseudoconformalPotential(W)
+
+        def F(t):
+            return ComplexField(grid, 0.3 * np.exp(-1j * t) * u0.values)
+
+        gaps = []
+        for dt in (0.01, 0.005, 0.0025):
+            res = duhamel_iterate(u0, F, V, (0.8, 1.0), dt, tol=1e-12)
+            rep = split_step_evolve(u0, V, F=F, interval=(0.8, 1.0), dt=dt, store_every=1)
+            gaps.append(linf_l2_gap(res.trajectory, rep.trajectory, lq_norm(u0, 2)))
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert orders.min() >= 1.9, orders
 
 
@@ -408,52 +423,6 @@ class TestBoxGuard:
                                                        grid=grid))
 
 
-class TestFrozenDuhamel:
-    def test_static_one_iteration(self, standing1d):
-        grid, W, u0 = standing1d
-        res = frozen_duhamel(u0, None, StaticPotential(W), (0.0, 0.5), dt=0.01)
-        assert res.iterations == 1
-        assert res.first_increment == 0.0
-
-    def test_slow_variation_contracts_faster_on_short_pieces(self, standing1d):
-        # slowly varying potential emulated by four windows whose rescale
-        # factors drift with time: the frozen perturbation W(t) = V(t) - V(0)
-        # shrinks with the piece length, and so do the contraction factors
-        grid, W, u0 = standing1d
-        from strz.exponents import ScheduleKind, ScheduleParams
-        from strz.potentials import PatchedRescaledPotential, Schedule, Window
-        from fractions import Fraction as F
-
-        params = ScheduleParams(alpha=F(3, 2), beta=F(2), kind=ScheduleKind.LOCAL)
-
-        def ramp_potential(piece_len):
-            windows = tuple(
-                Window(k=i + 1, start=i * piece_len / 4, length=piece_len / 4,
-                       eps=1.0 + 0.02 * i)
-                for i in range(4)
-            )
-            sched = Schedule(kind=ScheduleKind.LOCAL, params=params, n=1,
-                             windows=windows, total_time=piece_len)
-            return PatchedRescaledPotential(W, sched)
-
-        factors = []
-        for piece_len in (2.0, 1.0, 0.5):
-            V = ramp_potential(piece_len)
-            res = frozen_duhamel(u0, None, V, (0.0, piece_len), dt=piece_len / 200,
-                                 maxit=60)
-            factors.append(max(res.factors) if res.factors else 0.0)
-        # shorter pieces -> smaller frozen perturbation -> smaller factors
-        assert factors[2] < factors[1] < factors[0]
-
-    def test_agrees_with_split_step(self, standing1d):
-        grid, W, u0 = standing1d
-        scaled = StaticPotential(real_profile(grid, 0.5 * W.values.real))
-        res = frozen_duhamel(u0, None, scaled, (0.0, 0.5), dt=0.005)
-        rep = split_step_evolve(u0, scaled, interval=(0.0, 0.5), dt=0.005,
-                                store_every=1)
-        assert linf_l2_gap(res.trajectory, rep.trajectory, lq_norm(u0, 2)) < 1e-3
-
-
 class TestSolveGlobal:
     def test_zero_potential_single_piece(self, standing1d):
         grid, _, u0 = standing1d
@@ -485,8 +454,9 @@ class TestSolveGlobal:
         assert linf_l2_gap(rep.trajectory, ss.trajectory, lq_norm(u0, 2)) < 1e-3
         assert rep.energy_drift < 1e-6
 
-    def test_inadmissible_pair_rejected_before_any_piece(self, standing1d, monkeypatch):
-        grid, W, u0 = standing1d
+    @pytest.fixture
+    def duhamel_calls(self, monkeypatch):
+        """The pieces solve_global hands to duhamel_iterate."""
         calls = []
         real = solver.duhamel_iterate
 
@@ -495,10 +465,34 @@ class TestSolveGlobal:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "duhamel_iterate", counting)
+        return calls
+
+    def test_inadmissible_pair_rejected_before_any_piece(self, standing1d, duhamel_calls):
+        grid, W, u0 = standing1d
         with pytest.raises(PreconditionError):
             solve_global(u0, None, StaticPotential(W), (0.0, 1.0), 2, 2, tau=1.0, dt=0.01,
                          pairs=[(4, 4)])  # no admissible pairs for n = 1
-        assert calls == []
+        assert duhamel_calls == []
+
+    def test_default_thinning_matches_split_step(self):
+        # 256 steps: both solvers store every step by the same default rule
+        grid = make_grid(1, 12.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        glob = solve_global(u0, None, ZeroPotential(), (0.0, 2.56), 2, 2, tau=1.0,
+                            dt=0.01, pairs=[])
+        ss = split_step_evolve(u0, ZeroPotential(), interval=(0.0, 2.56), dt=0.01)
+        assert len(glob.trajectory.states) == len(ss.trajectory.states) == 257
+        np.testing.assert_array_equal(glob.trajectory.times, ss.trajectory.times)
+
+    def test_store_every_zero_rejected_before_any_piece(self, standing1d, duhamel_calls):
+        grid, W, u0 = standing1d
+        with pytest.raises(PreconditionError, match="store_every"):
+            solve_global(u0, None, StaticPotential(W), (0.0, 1.0), 2, 2, tau=1.0, dt=0.01,
+                         pairs=[], store_every=0)
+        assert duhamel_calls == []
+        with pytest.raises(PreconditionError, match="store_every"):
+            split_step_evolve(u0, StaticPotential(W), interval=(0.0, 1.0), dt=0.01,
+                              store_every=0)
 
     def test_report_contents(self, standing2d):
         grid, W, u0 = standing2d
