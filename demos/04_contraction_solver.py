@@ -6,8 +6,6 @@ finds the workable threshold empirically; solve_global partitions the
 interval greedily, iterates piece by piece, and reports the chained constant
 bound k (1 + 2 c_hat)^k.
 """
-import numpy as np
-
 from strz import (
     StaticPotential,
     calibrate_tau,
@@ -23,6 +21,7 @@ from strz import (
     split_step_evolve,
     standing_wave_potential,
 )
+from strz.spectral import lq_norms
 
 grid = make_grid(2, 10.0, 32)
 gp = ground_pair(default_weight(grid, sigma=1.0))
@@ -52,8 +51,7 @@ print(f"  chained constant bound k(1+2c)^k = {rep.constant_bound:.1f}")
 ss = split_step_evolve(u0, V, interval=(0.0, 2.0), dt=5e-3, store_every=1)
 by_time = {round(float(t), 9): s for t, s in zip(ss.trajectory.times, ss.trajectory.states)}
 gap = max(
-    np.sqrt(np.sum(np.abs(s.values - by_time[round(float(t), 9)].values) ** 2)
-            * grid.cell_volume)
+    lq_norms(s.values - by_time[round(float(t), 9)].values, grid, 2)
     for t, s in zip(rep.trajectory.times, rep.trajectory.states)
 ) / lq_norm(u0, 2)
 print(f"  fixed point vs split-step, LinfL2 relative gap: {gap:.3e}")

@@ -46,8 +46,6 @@ from .potentials import (
 from .solver import split_step_evolve
 from .spectral import ComplexField, Grid, _ksq, lq_norm, lq_norms, rescale_field, time_lp
 
-FamilyKind = ScheduleKind  # cascade kinds; the pseudoconformal family is separate
-
 # Box tolerances (outer-shell fractions of |u|^2, see spectral.check_support)
 # for rescalings of the base eigenfunction u0, which decays only like e^{-|x|}:
 # on the smallest boxes in use its own shell mass already exceeds

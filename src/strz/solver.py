@@ -14,8 +14,10 @@ Both step with the one kernel ``spectral.strang_step``; the split-step
 half-phases exp(i (h/2) V) come from ``PotentialSampler``, cached under the
 variant's sample_key like the values of V, and both build their report in
 ``_report``.
-The discrete Duhamel integral uses the trapezoid rule at the sampling dt and
-is accumulated with the one-step propagator, so one sweep costs O(steps) FFTs.
+The discrete Duhamel map is the trapezoid rule at the sampling dt, written as
+a recursion on its own output with the one-step propagator K = exp(ih Lap):
+out[j+1] = K(out[j] - i(h/2) g_j) - i(h/2) g_{j+1} with g = F - V v, from
+out[0] = u0.  One sweep costs O(steps) FFTs; with g = 0 it is the free evolution.
 """
 from __future__ import annotations
 
@@ -277,7 +279,11 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
-    need = 4 * (m + 1) * grid.npoints * 16  # complex base, v, apply_phi's output, states
+    # v, Phi(v) and the states, plus the samples kept: one complex parent per V
+    # key (per node when the key is None) and one field per node of a callable F
+    keys = [V.sample_key(t) for t in times.tolist()]
+    samples = keys.count(None) + len(set(keys) - {None}) + (m + 1) * callable(F)
+    need = (3 * (m + 1) + samples) * grid.npoints * 16
     if need > PHYSICAL_MEMORY:
         raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
                                 f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
@@ -286,44 +292,39 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     half = dt_eff / 2.0  # trapezoid weight
     vvals = [sampler.values_at(float(t)) for t in times]
     fvals = [_source_at(F, float(t), grid) for t in times]
-    base = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
-    base[0] = u0.values
-    for j in range(m):
-        base[j + 1] = strang_step(base[j], kin)
 
-    def apply_phi(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[0] = base[0]
-        integral = np.zeros(grid.shape, dtype=np.complex128)
-        g_prev = _g(0, v)
+    def sweep(v: Optional[np.ndarray]) -> np.ndarray:
+        """Phi(v) by the recursion of the module docstring; g = 0 when v is None."""
+        out = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
+        out[0] = u0.values
+        g = _g(0, v)
         for j in range(m):
-            g_next = _g(j + 1, v)
-            integral = strang_step(integral + half * g_prev, kin) + half * g_next
-            out[j + 1] = base[j + 1] - 1j * integral
-            g_prev = g_next
+            out[j + 1] = strang_step(out[j] - 1j * half * g, kin)
+            g = _g(j + 1, v)
+            out[j + 1] -= 1j * half * g
         return out
 
-    def _g(j: int, v: np.ndarray) -> np.ndarray:
+    def _g(j: int, v: Optional[np.ndarray]):
+        if v is None:
+            return 0.0
         g = -vvals[j] * v[j]
-        if fvals[j] is not None:
-            g = g + fvals[j]
-        return g
+        return g if fvals[j] is None else g + fvals[j]
 
     def zdiff(a: np.ndarray, b: np.ndarray) -> float:
         """Z-norm of a - b, formed in a's buffer: the caller drops a."""
         a -= b
         return _stack_z_norm(times, a, grid, q_fallback)
 
-    v = base.copy()
+    v = sweep(None)
     scale = _stack_z_norm(times, v, grid, q_fallback)
-    v_next = apply_phi(v)
+    v_next = sweep(v)
     d_first = zdiff(v, v_next)
     factors: List[float] = []
     iterations = 1
     v, v_prev_diff = v_next, d_first
-    if d_first > max(1e-14 * scale, 0.0):
+    if d_first > 1e-14 * scale:
         while True:
-            v_next = apply_phi(v)
+            v_next = sweep(v)
             d = zdiff(v, v_next)
             factors.append(d / v_prev_diff if v_prev_diff > 0 else 0.0)
             iterations += 1
@@ -336,7 +337,7 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
                     f"(last factor {factors[-1]:.3f}); piece too large"
                 )
 
-    res_abs = zdiff(apply_phi(v), v)
+    res_abs = zdiff(sweep(v), v)
     vnorm = _stack_z_norm(times, v, grid, q_fallback)
     residual = res_abs / vnorm if vnorm > 0 else res_abs
     states = [ComplexField(grid, v[j]) for j in range(m + 1)]

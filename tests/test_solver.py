@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from strz.potentials import (
     evaluate,
     partition_interval,
     real_profile,
+    time_lattice,
     trajectory_mixed_norm,
 )
 from strz.solver import (
@@ -39,6 +42,7 @@ from strz.spectral import (
     free_propagate,
     gaussian_field,
     lq_norm,
+    lq_norms,
     make_grid,
 )
 
@@ -343,6 +347,35 @@ class TestDuhamel:
         with pytest.raises(PreconditionError, match="GiB"):
             duhamel_iterate(u0, None, ZeroPotential(), (0.0, 1.0), dt=1e-7)
 
+    def test_buffers_count_the_kept_samples(self, monkeypatch):
+        # a pseudoconformal V keeps one complex sample per node and a callable F
+        # one more field per node: v, Phi(v), the states and those two make 5
+        # stacks of 41 nodes, which 4.5 stacks of memory cannot hold
+        def never(*args):
+            raise AssertionError("the potential was sampled before the size check")
+
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = PseudoconformalPotential(real_profile(grid, u0.values.real))
+        monkeypatch.setattr(solver, "evaluate", never)
+        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 4.5 * 41 * 64**2 * 16)
+        with pytest.raises(PreconditionError, match="GiB"):
+            duhamel_iterate(u0, lambda t: u0, V, (0.8, 1.0), dt=0.005)
+
+    def test_peak_memory_three_stacks(self):
+        # one 2D N=64 piece of 41 nodes: v, Phi(v) and the returned states
+        # (the real |.|^q temporaries of a Z-norm add half a stack)
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = StaticPotential(real_profile(grid, u0.values.real))
+        tracemalloc.start()
+        try:
+            duhamel_iterate(u0, None, V, (0.8, 1.0), dt=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 41 * 64**2 * 16, peak / (41 * 64**2 * 16)
+
 
 class TestDuhamelOrder:
     """The trapezoid Duhamel discretization is second order in dt: against
@@ -388,6 +421,52 @@ class TestDuhamelOrder:
             gaps.append(linf_l2_gap(res.trajectory, rep.trajectory, lq_norm(u0, 2)))
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert orders.min() >= 1.9, orders
+
+
+class TestDuhamelFixedPoint:
+    """Picard's limit is the discrete trapezoid fixed point, which one implicit
+    sweep solves exactly: the term (h/2) V_{j+1} v_{j+1} is pointwise, so
+    v_{j+1} = (K(v_j - i(h/2) g_j) - i(h/2) F_{j+1}) / (1 - i(h/2) V_{j+1})
+    with g = F - V v and K the exact free step of length h."""
+
+    @staticmethod
+    def implicit_sweep(u0, F, V, piece, dt):
+        grid = u0.grid
+        times, h = time_lattice(piece, dt)
+        Vs = [evaluate(V, float(t), grid).values.real for t in times]
+        Fs = [np.zeros(grid.shape) if F is None else
+              (F if isinstance(F, ComplexField) else F(float(t))).values for t in times]
+        v = [u0.values]
+        for j in range(len(times) - 1):
+            g = Fs[j] - Vs[j] * v[j]
+            w = free_propagate(ComplexField(grid, v[j] - 0.5j * h * g), h).values
+            v.append((w - 0.5j * h * Fs[j + 1]) / (1.0 - 0.5j * h * Vs[j + 1]))
+        return times, v
+
+    @pytest.mark.parametrize("dim, kind", [("standing1d", "pseudoconformal"),
+                                           ("standing2d", "static"),
+                                           ("standing2d", "patched"),
+                                           ("standing3d", "static")])
+    def test_picard_limit_is_implicit_sweep(self, request, dim, kind):
+        grid, W, u0 = request.getfixturevalue(dim)
+        F, V, piece = None, StaticPotential(W), (0.0, 0.25)
+        if kind == "pseudoconformal":
+            def F(t):
+                return ComplexField(grid, 0.3 * np.exp(-1j * t) * u0.values)
+
+            V, piece = PseudoconformalPotential(W), (0.8, 1.0)
+        elif kind == "patched":
+            sk = ScheduleKind.LOCAL
+            sched = Schedule(kind=sk, params=ScheduleParams(alpha=2, beta=4, kind=sk), n=2,
+                             windows=(Window(1, 0.0, 0.5, 1.0), Window(2, 0.5, 0.25, 1.1)),
+                             total_time=1.0)
+            F = ComplexField(grid, 0.5 * u0.values)
+            V, piece = PatchedRescaledPotential(W, sched), (0.4, 0.6)
+        res = duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-13, maxit=60)
+        times, exact = self.implicit_sweep(u0, F, V, piece, 0.005)
+        np.testing.assert_array_equal(res.trajectory.times, times)
+        gap = max(lq_norms(s.values - e, grid, 2) for s, e in zip(res.trajectory.states, exact))
+        assert gap <= 1e-12 * max(lq_norms(np.array(exact), grid, 2)), gap
 
 
 class TestBoxGuard:
