@@ -266,6 +266,14 @@ class DuhamelResult:
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
 
 
+def _check_buffers(fields: int, grid: Grid) -> None:
+    """Refuse a request for more complex grid fields than physical memory holds."""
+    need = fields * grid.npoints * 16
+    if need > PHYSICAL_MEMORY:
+        raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
+                                f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
+
+
 def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
                     dt: float, tol: float = 1e-8, maxit: int = 30,
                     q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
@@ -279,14 +287,13 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
-    # v, Phi(v) and the states, plus the samples kept: one complex parent per V
-    # key (per node when the key is None) and one field per node of a callable F
+    # v, Phi(v) and the states, checked before any sample_key call; then with
+    # the samples kept: one complex parent per V key (per node when the key is
+    # None) and one field per node of a callable F
+    _check_buffers(3 * (m + 1), grid)
     keys = [V.sample_key(t) for t in times.tolist()]
     samples = keys.count(None) + len(set(keys) - {None}) + (m + 1) * callable(F)
-    need = (3 * (m + 1) + samples) * grid.npoints * 16
-    if need > PHYSICAL_MEMORY:
-        raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
-                                f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
+    _check_buffers(3 * (m + 1) + samples, grid)
     sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
     half = dt_eff / 2.0  # trapezoid weight

@@ -347,6 +347,17 @@ class TestDuhamel:
         with pytest.raises(PreconditionError, match="GiB"):
             duhamel_iterate(u0, None, ZeroPotential(), (0.0, 1.0), dt=1e-7)
 
+    def test_stacks_beyond_memory_rejected_before_any_sample_key(self, monkeypatch):
+        # the three stacks alone exceed memory, so the 10^7 + 1 sample keys are
+        # never asked for
+        def never(self, t):
+            raise AssertionError("sample_key was called before the size check")
+
+        monkeypatch.setattr(ZeroPotential, "sample_key", never)
+        u0 = gaussian_field(make_grid(2, 10.0, 512), sigma=1.0)
+        with pytest.raises(PreconditionError, match="GiB"):
+            duhamel_iterate(u0, None, ZeroPotential(), (0.0, 1.0), dt=1e-7)
+
     def test_buffers_count_the_kept_samples(self, monkeypatch):
         # a pseudoconformal V keeps one complex sample per node and a callable F
         # one more field per node: v, Phi(v), the states and those two make 5

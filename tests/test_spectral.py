@@ -6,6 +6,7 @@ import pytest
 from strz.errors import PreconditionError, SnapshotFormatError, SupportEscapeError
 from strz.exponents import Exponent
 from strz.snapshot import read_snapshot, write_snapshot
+from strz import spectral
 from strz.spectral import (
     ComplexField,
     Trajectory,
@@ -275,6 +276,80 @@ class TestRescale:
         u = gaussian_field(g)
         with pytest.raises(PreconditionError):
             rescale_field(u, -1.0)
+
+
+def dense_rescale(u, eps):
+    """Rescaling by the dense matrix E[j, m] = exp(i xi_m (eps x_j + L)) / N,
+    with a cosine Nyquist column and zeroed escaped rows, applied along each
+    axis of fft(u)."""
+    g = u.grid
+    x, xi = g.axis(), g.freq_axis()
+    target = eps * x + g.L
+    E = np.exp(1j * np.outer(target, xi)) / g.N
+    E[:, g.N // 2] = np.cos(target * xi[g.N // 2]) / g.N
+    E[np.abs(eps * x) > g.L * (1.0 + 1e-12)] = 0.0
+    out = np.fft.fftn(u.values)
+    for axis in range(g.n):
+        out = np.moveaxis(np.tensordot(E, out, axes=([1], [axis])), 0, axis)
+    if np.abs(u.values.imag).max() == 0.0:
+        out = out.real.astype(np.complex128)
+    return out
+
+
+KERNEL_GRIDS = {1: (16.0, 128), 2: (16.0, 64), 3: (12.0, 32)}
+KERNEL_EPS = (0.8, 1.37, 2.0)
+
+
+def kernel_input(n, complex_valued):
+    g = make_grid(n, *KERNEL_GRIDS[n])
+    u = gaussian_field(g, sigma=1.2)
+    if complex_valued:
+        u = ComplexField(g, u.values * np.exp(0.7j * g.coords()[0]))
+    return u
+
+
+class TestSincKernel:
+    @pytest.mark.parametrize("eps", KERNEL_EPS)
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_matrix(self, n, complex_valued, eps):
+        u = kernel_input(n, complex_valued)
+        v = rescale_field(u, eps).values
+        ref = dense_rescale(u, eps)
+        assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+        if not complex_valued:
+            assert np.abs(v.imag).max() == 0.0
+
+    @pytest.mark.parametrize("eps", KERNEL_EPS)
+    @pytest.mark.parametrize("N", [8, 64, 128])
+    def test_rows_reproduce_constants(self, N, eps):
+        g = make_grid(1, 16.0, N)
+        S = spectral._sinc_matrix(g, eps)
+        escaped = np.abs(eps * g.axis()) > g.L * (1.0 + 1e-12)
+        assert S.dtype == np.float64
+        assert np.abs(S.sum(axis=1)[~escaped] - 1.0).max() <= 1e-13
+        assert not S[escaped].any()
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_fftn_and_no_ifftn_per_call(self, n, complex_valued, monkeypatch):
+        u = kernel_input(n, complex_valued)
+        calls = {"fftn": 0, "ifftn": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        for eps in KERNEL_EPS:
+            rescale_field(u, eps)
+        assert calls == {"fftn": len(KERNEL_EPS), "ifftn": 0}
 
 
 class TestDecayFit:
