@@ -97,7 +97,6 @@ from .solver import (
     duhamel_iterate,
     solve_global,
     split_step_evolve,
-    z_norm,
 )
 from .counterexamples import (
     CounterexampleFamily,

@@ -94,8 +94,7 @@ class AcceptanceContext:
             (ScheduleKind.GLOBAL_SUPERCRITICAL, (1, 2)),
             (ScheduleKind.LOCAL, (1, 2)),
         ]:
-            params = cx.schedule_params_for_growth(kind, r, s, 3, min_slope=F(1, 2),
-                                                   p_max=F(3))
+            params = cx.schedule_params_for_growth(kind, r, s, 3)
             fams[kind] = cx.build_family(kind, r, s, 3, W, u0, K=200, params=params)
         return fams
 

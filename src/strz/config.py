@@ -128,14 +128,7 @@ def parse_pairs(text: str) -> List[Tuple[Exponent, Exponent]]:
 
 
 # ---------------------------------------------------------------------------
-# Potential spec <-> config
-
-
-def potential_to_config(V: PotentialSpec, profile_path: Optional[str] = None,
-                        section: str = "potential") -> Dict[str, Dict[str, str]]:
-    """Config sections describing a potential; profiles are referenced by
-    snapshot path (the caller is responsible for writing them)."""
-    return V.config_sections(section, profile_path)
+# Potential spec from config
 
 
 def potential_from_config(
@@ -143,8 +136,15 @@ def potential_from_config(
     section: str = "potential",
     base_dir: Union[str, Path] = ".",
 ) -> PotentialSpec:
-    """Rebuild a potential spec from config sections, loading profile
-    snapshots relative to ``base_dir``."""
+    """Build a potential spec from config sections, loading profile
+    snapshots relative to ``base_dir``.
+
+    A ``patched`` section reads one ``r``, ``s`` pair: its schedule is
+    validated against that pair and built for it.  Inside a ``sum`` the
+    term's section is also where the term's own ``r``, ``s`` budget is read,
+    so a patched term's schedule exponents and its budget are one pair, the
+    space the term lives in.
+    """
     kind = cfg.get_str(section, "kind", required=True)
     if kind == "zero":
         return ZeroPotential()

@@ -55,6 +55,11 @@ from .spectral import ComplexField, Grid, _ksq, lq_norm, lq_norms, rescale_field
 PSEUDOCONFORMAL_MASS_TOL = 1e-3
 WINDOW_START_MASS_TOL = 0.05
 
+# Growth schedules reach ratio slope |alpha - beta| / p >= GROWTH_MIN_SLOPE
+# for every admissible p <= GROWTH_P_MAX.
+GROWTH_MIN_SLOPE = Fraction(1, 2)
+GROWTH_P_MAX = Fraction(3)
+
 
 _REGIME_FOR_KIND = {
     ScheduleKind.GLOBAL_SUBCRITICAL: Criticality.SUBCRITICAL,
@@ -82,16 +87,10 @@ def default_params(kind: ScheduleKind, r: ExponentLike, s: ExponentLike, n: int)
     return local_params(r, s, n, kind=kind)
 
 
-def schedule_params_for_growth(
-    kind: ScheduleKind,
-    r: ExponentLike,
-    s: ExponentLike,
-    n: int,
-    min_slope: Fraction = Fraction(1, 2),
-    p_max: Fraction = Fraction(3),
-) -> ScheduleParams:
+def schedule_params_for_growth(kind: ScheduleKind, r: ExponentLike, s: ExponentLike,
+                               n: int) -> ScheduleParams:
     """Valid params whose ratio slope |alpha - beta| / p reaches at least
-    min_slope for every admissible p <= p_max.
+    GROWTH_MIN_SLOPE for every admissible p <= GROWTH_P_MAX.
 
     The default selectors keep alpha close to beta, which makes R_k grow
     slowly; this deterministic variant widens the gap (doubling headroom)
@@ -102,7 +101,7 @@ def schedule_params_for_growth(
         raise RegimeError(f"(r,s)=({r},{s}) is {cls.criticality.value}, wrong regime for {kind.value}")
     if cls.r.is_infinite:
         raise PreconditionError("cascade schedules need r < inf")
-    gap = 2 * Fraction(min_slope) * Fraction(p_max)
+    gap = 2 * GROWTH_MIN_SLOPE * GROWTH_P_MAX
     rr, rho = cls.r.reciprocal, cls.rho
     if kind is ScheduleKind.GLOBAL_SUBCRITICAL:
         beta = 2 * (1 + gap * rr) / (1 - rho)

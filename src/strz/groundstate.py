@@ -143,14 +143,3 @@ def default_weight(grid: Grid, sigma: float = 1.0, amplitude: float = 1.0) -> Co
     vals = g.values.real
     vals = np.where(vals < 1e-16 * amplitude, 0.0, vals)
     return ComplexField(grid, vals.astype(np.complex128))
-
-
-def mixture_weight(grid: Grid, bumps) -> ComplexField:
-    """Positive mixture of Gaussian bumps; bumps = [(amplitude, sigma, center), ...]."""
-    acc = np.zeros(grid.shape)
-    for amp, sigma, center in bumps:
-        if amp <= 0:
-            raise PreconditionError("mixture amplitudes must be positive")
-        acc = acc + gaussian_field(grid, sigma=sigma, amplitude=amp, center=center).values.real
-    acc = np.where(acc < 1e-16 * acc.max(), 0.0, acc)
-    return ComplexField(grid, acc.astype(np.complex128))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ DEFAULT_DT = 1e-2
 
 Interval = Tuple[float, float]
 NormFunction = Callable[[float], float]
-ConfigSections = Dict[str, Dict[str, str]]
 
 
 def time_lattice(interval: Interval, dt: float) -> Tuple[np.ndarray, float]:
@@ -138,9 +137,8 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
 # Every variant answers the same questions, so callers never branch on it:
 # ``kind`` (its config name), ``grid`` (its natural evaluation grid, None if
 # it has none), ``field_at`` (V(t) on a grid), ``norm_function``
-# (t -> ||V(t)||_s, exact per variant where possible), ``sample_key`` (the
-# key under which a sampled field may be cached, None for never) and
-# ``config_sections`` (its config description).
+# (t -> ||V(t)||_s, exact per variant where possible) and ``sample_key`` (the
+# key under which a sampled field may be cached, None for never).
 
 
 @dataclass(frozen=True)
@@ -159,9 +157,6 @@ class ZeroPotential:
 
     def sample_key(self, t: float) -> Hashable:
         return "static"
-
-    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
-        return {section: {"kind": self.kind}}
 
 
 @dataclass(frozen=True)
@@ -185,11 +180,6 @@ class ProfilePotential:
 
     def sample_key(self, t: float) -> Hashable:
         return None
-
-    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
-        if profile_path is None:
-            raise PreconditionError(f"{self.kind} potential needs a profile path")
-        return {section: {"kind": self.kind, "profile": profile_path}}
 
 
 @dataclass(frozen=True)
@@ -242,13 +232,6 @@ class PatchedRescaledPotential(ProfilePotential):
     def sample_key(self, t: float) -> Hashable:
         w = self.schedule.window_at(t)
         return ("window", None if w is None else w.k)
-
-    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
-        sections = super().config_sections(section, profile_path)
-        sched = self.schedule
-        sections[section].update(schedule=sched.kind.value, alpha=str(sched.params.alpha),
-                                 beta=str(sched.params.beta), k=str(len(sched.windows)))
-        return sections
 
 
 @dataclass(frozen=True)
@@ -306,14 +289,6 @@ class SumPotential:
 
     def sample_key(self, t: float) -> Hashable:
         return None
-
-    def config_sections(self, section: str, profile_path: Optional[str]) -> ConfigSections:
-        sections = {section: {"kind": self.kind, "terms": str(len(self.terms))}}
-        for i, (term, r_j, s_j) in enumerate(self.terms, start=1):
-            sub = f"{section}.term{i}"
-            sections.update(term.config_sections(sub, profile_path))
-            sections[sub].update(r=str(r_j), s=str(s_j))
-        return sections
 
 
 PotentialSpec = Union[ZeroPotential, StaticPotential, PatchedRescaledPotential,

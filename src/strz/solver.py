@@ -38,6 +38,7 @@ from .potentials import (
     evaluate,
     partition_interval,
     time_lattice,
+    # unused here; kept because bench/layers.py patches solver.trajectory_mixed_norm
     trajectory_mixed_norm,
 )
 from .spectral import (
@@ -60,39 +61,20 @@ CALIBRATION_TOL = 1e-6  # Duhamel stopping tolerance of the calibration runs
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
-def endpoint_q(n: int, q_fallback: int = DEFAULT_Q_FALLBACK) -> Exponent:
+def endpoint_q(n: int) -> Exponent:
     """Spatial exponent of the endpoint slot of the Z-norm: 2n/(n-2) when
-    n >= 3, a large configurable stand-in otherwise."""
+    n >= 3, the fixed stand-in DEFAULT_Q_FALLBACK otherwise."""
     if n >= 3:
         return Exponent(Fraction(2 * n, n - 2))
-    return Exponent(q_fallback)
+    return Exponent(DEFAULT_Q_FALLBACK)
 
 
-@dataclass(frozen=True)
-class ZNormValue:
-    """max of the L^inf_t L^2 and L^2_t L^qe sample norms of a trajectory."""
-
-    l_inf_l2: float
-    l2_endpoint: float
-    endpoint: Exponent
-
-    @property
-    def value(self) -> float:
-        return max(self.l_inf_l2, self.l2_endpoint)
-
-
-def _stack_z_norm(times: np.ndarray, stack: np.ndarray, grid: Grid,
-                  q_fallback: int) -> float:
-    """Z-norm of a stacked (m+1,) + grid.shape piece trajectory."""
-    qe = endpoint_q(grid.n, q_fallback)
+def _stack_z_norm(times: np.ndarray, stack: np.ndarray, grid: Grid) -> float:
+    """Z-norm of a stacked (m+1,) + grid.shape piece trajectory: the max of
+    its L^inf_t L^2 and L^2_t L^qe sample norms."""
+    qe = endpoint_q(grid.n)
     return max(time_lp(lq_norms(stack, grid, 2), times, "inf"),
                time_lp(lq_norms(stack, grid, qe), times, 2))
-
-
-def z_norm(traj: Trajectory, q_fallback: int = DEFAULT_Q_FALLBACK) -> ZNormValue:
-    qe = endpoint_q(traj.grid.n, q_fallback)
-    return ZNormValue(l_inf_l2=trajectory_mixed_norm(traj, "inf", 2),
-                      l2_endpoint=trajectory_mixed_norm(traj, 2, qe), endpoint=qe)
 
 
 class PotentialSampler:
@@ -275,8 +257,7 @@ def _check_buffers(fields: int, grid: Grid) -> None:
 
 
 def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
-                    dt: float, tol: float = 1e-8, maxit: int = 30,
-                    q_fallback: int = DEFAULT_Q_FALLBACK) -> DuhamelResult:
+                    dt: float, tol: float = 1e-8, maxit: int = 30) -> DuhamelResult:
     """Fixed point of Phi(v) = exp(it Lap) u0 - i Duhamel[F - V v] on a piece.
 
     Starts from the free evolution; stops when the Z-norm of successive
@@ -320,10 +301,10 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     def zdiff(a: np.ndarray, b: np.ndarray) -> float:
         """Z-norm of a - b, formed in a's buffer: the caller drops a."""
         a -= b
-        return _stack_z_norm(times, a, grid, q_fallback)
+        return _stack_z_norm(times, a, grid)
 
     v = sweep(None)
-    scale = _stack_z_norm(times, v, grid, q_fallback)
+    scale = _stack_z_norm(times, v, grid)
     v_next = sweep(v)
     d_first = zdiff(v, v_next)
     factors: List[float] = []
@@ -345,7 +326,7 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
                 )
 
     res_abs = zdiff(sweep(v), v)
-    vnorm = _stack_z_norm(times, v, grid, q_fallback)
+    vnorm = _stack_z_norm(times, v, grid)
     residual = res_abs / vnorm if vnorm > 0 else res_abs
     states = [ComplexField(grid, v[j]) for j in range(m + 1)]
     traj = Trajectory(times=times, states=states, energy_log=lq_norms(v, grid, 2))
@@ -365,7 +346,6 @@ def solve_global(
     tol: float = 1e-8,
     maxit: int = 30,
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
-    q_fallback: int = DEFAULT_Q_FALLBACK,
     store_every: Optional[int] = None,
 ) -> SolveReport:
     """Partition-and-chain solve: split the interval into pieces whose mixed
@@ -385,7 +365,7 @@ def solve_global(
     residuals: List[float] = []
     state = u0
     for idx, (a, b) in enumerate(part.pieces):
-        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol, maxit, q_fallback)
+        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol, maxit)
         factors.append(result.factors)
         iterations.append(result.iterations)
         residuals.append(result.residual)
@@ -418,7 +398,6 @@ def calibrate_tau(
     cap: float = 8.0,
     rounds: int = 12,
     maxit: int = 12,
-    q_fallback: int = DEFAULT_Q_FALLBACK,
     probe_state: Optional[ComplexField] = None,
 ) -> float:
     """Largest tau on a bisection grid such that every reference potential,
@@ -443,7 +422,7 @@ def calibrate_tau(
                 part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
                 for piece in part.pieces:
                     res = duhamel_iterate(probe_state, None, V, piece, dt,
-                                          CALIBRATION_TOL, maxit, q_fallback)
+                                          CALIBRATION_TOL, maxit)
                     if res.factors and max(res.factors) > CALIBRATION_FACTOR:
                         return False
             except (NonContractionError, PartitionError):

@@ -23,6 +23,7 @@ from .exponents import Exponent, as_exponent
 DEFAULT_MASS_TOL = 1e-8
 SHELL_FRACTION = 0.9
 DECAY_FIT_TIMES = 16  # sample times of a dispersive-decay fit
+DECAY_FIT_MASS_TOL = 1e-3  # box tolerance of a dispersive-decay fit
 
 QLike = Union[Exponent, int, Fraction, str]
 
@@ -299,7 +300,7 @@ class DecayFit:
     intercept: float
 
 
-def dispersive_decay_fit(u0: ComplexField, t_range: tuple, mass_tol: float = 1e-3) -> DecayFit:
+def dispersive_decay_fit(u0: ComplexField, t_range: tuple) -> DecayFit:
     """Fit log ||exp(it Lap) u0||_inf against log t at DECAY_FIT_TIMES
     log-spaced times.
 
@@ -313,7 +314,7 @@ def dispersive_decay_fit(u0: ComplexField, t_range: tuple, mass_tol: float = 1e-
     sups = np.empty(DECAY_FIT_TIMES)
     for i, t in enumerate(ts):
         ut = free_propagate(u0, float(t))
-        check_support(ut.values, u0.grid, mass_tol, f"decay fit at t={t:.3g}")
+        check_support(ut.values, u0.grid, DECAY_FIT_MASS_TOL, f"decay fit at t={t:.3g}")
         sups[i] = lq_norm(ut, "inf")
     slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
     return DecayFit(times=ts, sup_norms=sups, slope=float(slope), intercept=float(intercept))

@@ -15,7 +15,6 @@ from strz.config import (
     ExperimentConfig,
     parse_pairs,
     potential_from_config,
-    potential_to_config,
 )
 from strz.errors import ConfigError, PreconditionError
 from strz.exponents import Exponent
@@ -77,52 +76,92 @@ n_points = 64
             parse_pairs("1/0,2")
 
 
-class TestPotentialConfig:
-    def test_static_round_trip(self, tmp_path):
-        grid = make_grid(1, 12.0, 64)
-        w = default_weight(grid, sigma=1.0)
-        write_snapshot(w, tmp_path / "w.strz")
-        sections = potential_to_config(StaticPotential(w), profile_path="w.strz")
-        cfg = ExperimentConfig(sections)
-        V = potential_from_config(cfg, base_dir=tmp_path)
-        assert isinstance(V, StaticPotential)
-        np.testing.assert_array_equal(V.profile.values, w.values)
+PATCHED = """
+[potential]
+kind = patched
+profile = W.strz
+schedule = global-subcritical
+alpha = 121/50
+beta = 11/5
+k = 4
+r = 4
+s = 4
+"""
 
-    def test_patched_round_trip(self, tmp_path):
+
+class TestPotentialConfig:
+    @pytest.fixture(scope="class")
+    def family(self):
         from strz.counterexamples import build_family
         from strz.exponents import ScheduleKind
 
         grid = make_grid(2, 10.0, 32)
-        gp = ground_pair(default_weight(grid, sigma=1.0))
-        W, u0 = standing_wave_potential(gp)
-        fam = build_family(ScheduleKind.GLOBAL_SUBCRITICAL, 4, 4, 2, W, u0, K=4)
-        write_snapshot(W, tmp_path / "W.strz")
-        sections = potential_to_config(fam.potential, profile_path="W.strz")
-        sections["potential"]["r"] = "4"
-        sections["potential"]["s"] = "4"
-        cfg = ExperimentConfig(sections)
+        W, u0 = standing_wave_potential(ground_pair(default_weight(grid, sigma=1.0)))
+        return build_family(ScheduleKind.GLOBAL_SUBCRITICAL, 4, 4, 2, W, u0, K=4)
+
+    def test_static_round_trip(self, tmp_path):
+        grid = make_grid(1, 12.0, 64)
+        w = default_weight(grid, sigma=1.0)
+        write_snapshot(w, tmp_path / "w.strz")
+        cfg = ExperimentConfig.parse("[potential]\nkind = static\nprofile = w.strz\n")
         V = potential_from_config(cfg, base_dir=tmp_path)
+        assert isinstance(V, StaticPotential)
+        np.testing.assert_array_equal(V.profile.values, w.values)
+
+    def test_patched_round_trip(self, tmp_path, family):
+        write_snapshot(family.W, tmp_path / "W.strz")
+        V = potential_from_config(ExperimentConfig.parse(PATCHED), base_dir=tmp_path)
         assert isinstance(V, PatchedRescaledPotential)
-        assert len(V.schedule.windows) == 4
-        assert V.schedule.windows[2].eps == fam.potential.schedule.windows[2].eps
+        assert V.schedule == family.potential.schedule
+        np.testing.assert_array_equal(V.profile.values, family.W.values)
 
     def test_sum_round_trip(self, tmp_path):
         grid = make_grid(1, 12.0, 64)
         w = default_weight(grid, sigma=1.0)
         write_snapshot(w, tmp_path / "w.strz")
-        V = SumPotential(terms=((StaticPotential(w), Exponent(2), Exponent(3)),
-                                (ZeroPotential(), Exponent("inf"), Exponent(2))))
-        sections = potential_to_config(V, profile_path="w.strz")
-        assert sections["potential"] == {"kind": "sum", "terms": "2"}
-        back = potential_from_config(ExperimentConfig(sections), base_dir=tmp_path)
-        assert [(type(t), r, s) for t, r, s in back.terms] == \
-            [(type(t), r, s) for t, r, s in V.terms]
+        text = """
+[potential]
+kind = sum
+terms = 2
+
+[potential.term1]
+kind = static
+profile = w.strz
+r = 2
+s = 3
+
+[potential.term2]
+kind = zero
+r = inf
+s = 2
+"""
+        back = potential_from_config(ExperimentConfig.parse(text), base_dir=tmp_path)
+        assert isinstance(back, SumPotential)
+        assert [(type(t), r, s) for t, r, s in back.terms] == [
+            (StaticPotential, Exponent(2), Exponent(3)),
+            (ZeroPotential, Exponent("inf"), Exponent(2)),
+        ]
         np.testing.assert_array_equal(back.terms[0][0].profile.values, w.values)
 
-    def test_profile_path_required(self):
-        grid = make_grid(1, 12.0, 64)
-        with pytest.raises(PreconditionError, match="static potential needs a profile path"):
-            potential_to_config(StaticPotential(default_weight(grid)))
+    def test_sum_missing_term_section(self):
+        cfg = ExperimentConfig.parse("[potential]\nkind = sum\nterms = 2\n\n"
+                                     "[potential.term1]\nkind = zero\nr = 2\ns = 2\n")
+        with pytest.raises(ConfigError, match=r"\[potential\.term2\] kind"):
+            potential_from_config(cfg)
+
+    def test_patched_term_lives_in_its_own_pair(self, tmp_path, family):
+        """A patched term of a sum reads one (r, s): its budget in the sum and
+        the exponents its schedule is validated against."""
+        write_snapshot(family.W, tmp_path / "W.strz")
+        term = PATCHED.replace("[potential]", "[potential.term1]")
+        text = "[potential]\nkind = sum\nterms = 1\n" + term
+        back = potential_from_config(ExperimentConfig.parse(text), base_dir=tmp_path)
+        assert back.terms[0][1:] == (Exponent(4), Exponent(4))
+        assert back.terms[0][0].schedule == family.potential.schedule
+        # (3, 3) is subcritical in 2D too, but alpha = 121/50, beta = 11/5 violate it
+        bad = text.replace("r = 4\ns = 4", "r = 3\ns = 3")
+        with pytest.raises(PreconditionError, match="violate"):
+            potential_from_config(ExperimentConfig.parse(bad), base_dir=tmp_path)
 
     def test_zero(self):
         cfg = ExperimentConfig({"potential": {"kind": "zero"}})

@@ -101,7 +101,7 @@ class TestGrowthParams:
         ],
     )
     def test_valid_and_strong(self, kind, r, s):
-        params = schedule_params_for_growth(kind, r, s, 3, min_slope=F(1, 2), p_max=F(3))
+        params = schedule_params_for_growth(kind, r, s, 3)
         assert schedule_params_valid(params, r, s, 3)
         gap = abs(params.alpha - params.beta)
         assert gap >= F(1, 2) * F(3)

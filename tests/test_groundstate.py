@@ -12,12 +12,19 @@ from strz.groundstate import (
     h1_norm_sq,
     helmholtz_apply,
     helmholtz_solve,
-    mixture_weight,
     standing_wave_potential,
     standing_wave_residual,
 )
 from strz.potentials import trajectory_mixed_norm
-from strz.spectral import ComplexField, Trajectory, _ksq, lq_norm, make_grid
+from strz.spectral import ComplexField, Trajectory, _ksq, gaussian_field, lq_norm, make_grid
+
+
+def mixture_weight(grid, bumps):
+    """Positive mixture of Gaussian bumps; bumps = [(amplitude, sigma, center), ...]."""
+    acc = sum(gaussian_field(grid, sigma=sigma, amplitude=amp, center=center).values.real
+              for amp, sigma, center in bumps)
+    acc = np.where(acc < 1e-16 * acc.max(), 0.0, acc)
+    return ComplexField(grid, acc.astype(np.complex128))
 
 
 def dense_oracle_mu(w, grid):

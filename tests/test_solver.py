@@ -35,7 +35,6 @@ from strz.solver import (
     endpoint_q,
     solve_global,
     split_step_evolve,
-    z_norm,
 )
 from strz.spectral import (
     ComplexField,
@@ -190,29 +189,32 @@ class TestZNorm:
     def test_endpoint_exponents(self):
         assert endpoint_q(3) == Exponent(6)
         assert endpoint_q(4) == Exponent(4)
-        assert endpoint_q(2) == Exponent(8)
-        assert endpoint_q(2, q_fallback=12) == Exponent(12)
+        assert endpoint_q(2) == Exponent(DEFAULT_Q_FALLBACK) == Exponent(8)
+        assert endpoint_q(1) == Exponent(8)
 
     def test_zero_only_for_zero(self, standing1d):
         grid, _, u0 = standing1d
         rep = split_step_evolve(u0, ZeroPotential(), interval=(0.0, 0.5), dt=1e-2,
                                 store_every=1)
-        zn = z_norm(rep.trajectory)
-        assert zn.value > 0
-        assert zn.l_inf_l2 <= zn.value
+        traj = rep.trajectory
+        stack = np.stack([s.values for s in traj.states])
+        zn = solver._stack_z_norm(traj.times, stack, grid)
+        assert zn > 0
+        assert trajectory_mixed_norm(traj, "inf", 2) <= zn
+        assert solver._stack_z_norm(traj.times, np.zeros_like(stack), grid) == 0.0
 
     def test_max_of_mixed_norms_and_stacked_form(self, standing2d):
         grid, W, _ = standing2d
         rep = split_step_evolve(gaussian_field(grid, sigma=1.0), StaticPotential(W),
                                 interval=(0.0, 0.5), dt=1e-2, store_every=1)
         traj = rep.trajectory
-        zn = z_norm(traj)
-        assert zn.value == max(trajectory_mixed_norm(traj, "inf", 2),
-                               trajectory_mixed_norm(traj, 2, endpoint_q(2)))
-        # the Duhamel iteration takes the same norm on its stacked piece array
+        # the Duhamel iteration's Z-norm, taken on its stacked piece array
         stack = np.stack([s.values for s in traj.states])
-        stacked = solver._stack_z_norm(traj.times, stack, grid, DEFAULT_Q_FALLBACK)
-        assert stacked == pytest.approx(zn.value, rel=1e-12)
+        zn = solver._stack_z_norm(traj.times, stack, grid)
+        assert zn > 0
+        assert zn == pytest.approx(max(trajectory_mixed_norm(traj, "inf", 2),
+                                       trajectory_mixed_norm(traj, 2, endpoint_q(2))),
+                                   rel=1e-12)
 
 
 class TestPotentialSampler:
