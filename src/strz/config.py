@@ -159,7 +159,8 @@ def potential_from_config(
         return PseudoconformalPotential(load_profile())
     if kind == "patched":
         profile = load_profile()
-        sched_kind = ScheduleKind(cfg.get_str(section, "schedule", required=True))
+        kinds = ", ".join(k.value for k in ScheduleKind)
+        sched_kind = cfg._typed(section, "schedule", None, True, ScheduleKind, f"one of {kinds}")
         alpha = cfg.get_fraction(section, "alpha", required=True)
         beta = cfg.get_fraction(section, "beta", required=True)
         K = cfg.get_int(section, "k", required=True)

@@ -12,8 +12,8 @@ Two routes are implemented and cross-validated:
 
 Both step with the one kernel ``spectral.strang_step``; the split-step
 half-phases exp(i (h/2) V) come from ``PotentialSampler``, cached under the
-variant's sample_key like the values of V, and both build their report in
-``_report``.
+variant's sample_key like the values of V, and both feed their samples one
+at a time to ``_Recorder``, which builds the report.
 The discrete Duhamel map is the trapezoid rule at the sampling dt, written as
 a recursion on its own output with the one-step propagator K = exp(ih Lap):
 out[j+1] = K(out[j] - i(h/2) g_j) - i(h/2) g_{j+1} with g = F - V v, from
@@ -89,9 +89,9 @@ class PotentialSampler:
     def values_at(self, t: float) -> np.ndarray:
         key = self.V.sample_key(t)
         if key is None:
-            return evaluate(self.V, t, self.grid).values.real
+            return evaluate(self.V, t, self.grid).values.real.copy()
         if key not in self._cache:
-            self._cache[key] = evaluate(self.V, t, self.grid).values.real
+            self._cache[key] = evaluate(self.V, t, self.grid).values.real.copy()
         return self._cache[key]
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
@@ -112,26 +112,6 @@ def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
     if out.grid != grid:
         raise PreconditionError("source defined on a different grid")
     return out.values
-
-
-def _stride(store_every: Optional[int], steps: int) -> int:
-    """Store every store_every-th of the steps + 1 states, by default about 256."""
-    if store_every is None:
-        return max(1, math.ceil(steps / 256))
-    if store_every < 1:
-        raise PreconditionError(f"store_every must be at least 1, got {store_every}")
-    return store_every
-
-
-def default_pairs(n: int) -> List[Tuple[Exponent, Exponent]]:
-    """Admissible pairs probed by default in solve reports."""
-    if n == 2:
-        raw = [("inf", 2), (4, 4), (3, 6)]
-    elif n == 3:
-        raw = [("inf", 2), (2, 6), (Fraction(8, 3), 4)]
-    else:
-        return []
-    return [(as_exponent(p), as_exponent(q)) for p, q in raw]
 
 
 @dataclass
@@ -176,18 +156,55 @@ class SolveReport:
         return d
 
 
-def _report(times: np.ndarray, norms: Dict[Exponent, np.ndarray],
-            pair_list: List[Tuple[Exponent, Exponent]], kept: List[int],
-            stored: List[ComplexField], **fields) -> SolveReport:
-    """Energy drift, Strichartz ratios and stored trajectory of a solve from its
-    per-sample L^q norms, by q: 2 (the energy log) and each q of the pairs."""
-    energies = norms[TWO]
-    e0 = energies[0]
-    drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
-    ratios = {(p, q): time_lp(norms[q], times, p) / e0 if e0 > 0 else math.inf
-              for p, q in pair_list}
-    traj = Trajectory(times=times[kept], states=stored, energy_log=energies[kept])
-    return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios, **fields)
+def _check_buffers(fields: float, grid: Grid) -> None:
+    """Refuse a request for more complex grid fields than physical memory holds."""
+    need = fields * grid.npoints * 16
+    if need > PHYSICAL_MEMORY:
+        raise PreconditionError(f"buffers of about {need / 2**30:.3g} GiB exceed the "
+                                f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
+
+
+class _Recorder:
+    """The report path of both solvers, fed the m + 1 samples of a run one at a
+    time.  Validates the pairs; keeps every store_every-th state plus the last
+    (by default about 256), refusing before the first step to keep more than
+    physical memory holds; logs each sample's L^q norm for q = 2 (the energy
+    log) and each q of the pairs; and builds the SolveReport from them."""
+
+    def __init__(self, grid: Grid, m: int,
+                 pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]],
+                 store_every: Optional[int]):
+        self.pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
+        if store_every is None:
+            store_every = max(1, math.ceil(m / 256))
+        elif store_every < 1:
+            raise PreconditionError(f"store_every must be at least 1, got {store_every}")
+        self.kept = np.union1d(np.arange(0, m + 1, store_every), m)
+        _check_buffers(len(self.kept), grid)
+        self.grid, self.j = grid, 0
+        self.times = np.empty(m + 1)
+        self.norms = {q: np.empty(m + 1) for q in {TWO} | {q for _, q in self.pair_list}}
+        self.stored: List[ComplexField] = []
+
+    def add(self, t: float, values: np.ndarray) -> None:
+        j = self.j
+        self.times[j] = t
+        for q, series in self.norms.items():
+            series[j] = lq_norms(values, self.grid, q)
+        if j == self.kept[len(self.stored)]:
+            self.stored.append(ComplexField(self.grid, values))
+        self.j += 1
+
+    def report(self, **fields) -> SolveReport:
+        energies = self.norms[TWO]
+        e0 = energies[0]
+        drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
+        ratios = {(p, q): time_lp(self.norms[q], self.times, p) / e0 if e0 > 0 else math.inf
+                  for p, q in self.pair_list}
+        traj = Trajectory(times=self.times[self.kept], states=self.stored,
+                          energy_log=energies[self.kept])
+        return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios,
+                           **fields)
 
 
 def split_step_evolve(
@@ -205,28 +222,19 @@ def split_step_evolve(
     correction.  Second order in dt; exactly unitary for F = 0, real V.
     """
     grid = u0.grid
-    pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
     times, dt_eff = time_lattice(interval, dt)
     m = len(times) - 1
+    rec = _Recorder(grid, m, pairs, store_every)
     sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
     kin_half = free_multiplier(grid, dt_eff / 2.0)
-    stride = _stride(store_every, m)
-
-    u = u0.values.copy()
-    norms = {q: np.empty(m + 1) for q in {TWO} | {q for _, q in pair_list}}
-    kept: List[int] = []
-    stored: List[ComplexField] = []
 
     def record(j: int, uvals: np.ndarray):
-        for q, series in norms.items():
-            series[j] = lq_norms(uvals, grid, q)
+        rec.add(float(times[j]), uvals)
         if step_probe is not None:
             step_probe(float(times[j]), uvals)
-        if j % stride == 0 or j == m:
-            kept.append(j)
-            stored.append(ComplexField(grid, uvals))
 
+    u = u0.values.copy()
     record(0, u)
     for j in range(m):
         t_mid = float(times[j]) + dt_eff / 2.0
@@ -236,7 +244,7 @@ def split_step_evolve(
             u = u - 1j * dt_eff * strang_step(src, kin_half, sampler.phase_at(t_mid, dt_eff / 2.0))
         record(j + 1, u)
 
-    return _report(times, norms, pair_list, kept, stored)
+    return rec.report()
 
 
 @dataclass
@@ -246,14 +254,6 @@ class DuhamelResult:
     iterations: int
     first_increment: float
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
-
-
-def _check_buffers(fields: int, grid: Grid) -> None:
-    """Refuse a request for more complex grid fields than physical memory holds."""
-    need = fields * grid.npoints * 16
-    if need > PHYSICAL_MEMORY:
-        raise PreconditionError(f"Duhamel buffers of about {need / 2**30:.3g} GiB exceed the "
-                                f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
 
 
 def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
@@ -269,11 +269,11 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
     # v, Phi(v) and the states, checked before any sample_key call; then with
-    # the samples kept: one complex parent per V key (per node when the key is
-    # None) and one field per node of a callable F
+    # the samples kept: half a field per real V sample, one per V key (per node
+    # when the key is None), and one field per node of a callable F
     _check_buffers(3 * (m + 1), grid)
     keys = [V.sample_key(t) for t in times.tolist()]
-    samples = keys.count(None) + len(set(keys) - {None}) + (m + 1) * callable(F)
+    samples = (keys.count(None) + len(set(keys) - {None})) / 2 + (m + 1) * callable(F)
     _check_buffers(3 * (m + 1) + samples, grid)
     sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
@@ -344,7 +344,6 @@ def solve_global(
     tau: float,
     dt: float,
     tol: float = 1e-8,
-    maxit: int = 30,
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
     store_every: Optional[int] = None,
 ) -> SolveReport:
@@ -352,40 +351,28 @@ def solve_global(
     potential norm is below tau, run the Duhamel iteration piece by piece
     feeding terminal states forward, and report contraction data plus the
     chained constant bound k (1 + 2 c_hat)^k with c_hat = 1 / (2 tau)."""
-    grid = u0.grid
-    pair_list = [admissible_pair(p, q, grid.n) for p, q in
-                 (pairs if pairs is not None else default_pairs(grid.n))]
-    part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
-    stride = _stride(store_every, part.slice_count)
-    all_times: List[np.ndarray] = []
-    all_states: List[ComplexField] = []
-    all_energies: List[np.ndarray] = []
+    part = partition_interval(V, r, s, interval, tau, dt, grid=u0.grid)
+    rec = _Recorder(u0.grid, part.slice_count, pairs, store_every)
     factors: List[List[float]] = []
     iterations: List[int] = []
     residuals: List[float] = []
     state = u0
     for idx, (a, b) in enumerate(part.pieces):
-        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol, maxit)
+        result = duhamel_iterate(state, F, V, (a, b), part.dt, tol)
         factors.append(result.factors)
         iterations.append(result.iterations)
         residuals.append(result.residual)
         tr = result.trajectory
         skip = 1 if idx > 0 else 0  # piece start duplicates previous terminal state
-        all_times.append(tr.times[skip:])
-        all_states.extend(tr.states[skip:])
-        all_energies.append(tr.energy_log[skip:])
+        for t, u in zip(tr.times[skip:].tolist(), tr.states[skip:]):
+            rec.add(t, u.values)
         state = tr.states[-1]
-    times = np.concatenate(all_times)
-    norms = {q: np.array([lq_norms(u.values, grid, q) for u in all_states])
-             for q in {q for _, q in pair_list} - {TWO}}
-    norms[TWO] = np.concatenate(all_energies)
-    kept = [j for j in range(len(times)) if j % stride == 0 or j == len(times) - 1]
+        del result, tr  # hold one piece at a time
     k = len(part.pieces)
     c_hat = 1.0 / (2.0 * tau)
-    return _report(times, norms, pair_list, kept,
-                   [all_states[j] for j in kept], contraction_factors=factors,
-                   partition=part, iterations=iterations, residuals=residuals,
-                   tau=tau, c_hat=c_hat, constant_bound=k * (1.0 + 2.0 * c_hat) ** k)
+    return rec.report(contraction_factors=factors, partition=part, iterations=iterations,
+                      residuals=residuals, tau=tau, c_hat=c_hat,
+                      constant_bound=k * (1.0 + 2.0 * c_hat) ** k)
 
 
 def calibrate_tau(

@@ -163,6 +163,13 @@ s = 2
         with pytest.raises(PreconditionError, match="violate"):
             potential_from_config(ExperimentConfig.parse(bad), base_dir=tmp_path)
 
+    def test_unknown_schedule(self, tmp_path, family):
+        write_snapshot(family.W, tmp_path / "W.strz")
+        cfg = ExperimentConfig.parse(PATCHED.replace("global-subcritical", "bogus"))
+        with pytest.raises(ConfigError, match=r"\[potential\] schedule = 'bogus' is not one of "
+                                              r"global-subcritical, global-supercritical, local"):
+            potential_from_config(cfg, base_dir=tmp_path)
+
     def test_zero(self):
         cfg = ExperimentConfig({"potential": {"kind": "zero"}})
         assert isinstance(potential_from_config(cfg), ZeroPotential)

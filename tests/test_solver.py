@@ -157,14 +157,21 @@ class TestSplitStep:
         key = (Exponent("inf"), Exponent(2))
         assert rep.strichartz_ratios[key] == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("p, q", [(4, 4), (3, 6)])
-    def test_ratios_match_trajectory_mixed_norm(self, standing2d, p, q):
+    @pytest.mark.parametrize("p, q, route", [(4, 4, "split"), (3, 6, "split"),
+                                             (4, 4, "global"), (3, 6, "global")],
+                             ids=["4-4", "3-6", "4-4-global", "3-6-global"])
+    def test_ratios_match_trajectory_mixed_norm(self, standing2d, p, q, route):
         # the per-step norm series and the stored-trajectory quadrature agree
         # when every step is stored; a Gaussian start makes |u| vary in time
         grid, W, _ = standing2d
         u0 = gaussian_field(grid, sigma=1.0)
-        rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.5), dt=1e-2,
-                                store_every=1, pairs=[(p, q)])
+        if route == "global":
+            rep = solve_global(u0, None, StaticPotential(W), (0.0, 0.5), 2, 2, tau=1.0,
+                               dt=1e-2, pairs=[(p, q)], store_every=1)
+            assert rep.pieces >= 2
+        else:
+            rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.5), dt=1e-2,
+                                    store_every=1, pairs=[(p, q)])
         got = rep.strichartz_ratios[(Exponent(p), Exponent(q))] * lq_norm(u0, 2)
         assert got == pytest.approx(trajectory_mixed_norm(rep.trajectory, p, q), rel=1e-12)
 
@@ -173,6 +180,18 @@ class TestSplitStep:
         with pytest.raises(PreconditionError):
             split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.1), dt=1e-2,
                               pairs=[(4, 4)])  # no admissible pairs for n = 1
+
+    def test_kept_states_beyond_memory_rejected_before_any_step(self, standing1d, monkeypatch):
+        # 101 kept states of 64 points; memory for 100 refuses before V is sampled
+        def never(*args):
+            raise AssertionError("the potential was sampled before the size check")
+
+        grid, W, u0 = standing1d
+        monkeypatch.setattr(solver, "evaluate", never)
+        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 100 * 64 * 16)
+        with pytest.raises(PreconditionError, match="GiB"):
+            split_step_evolve(u0, StaticPotential(W), interval=(0.0, 1.0), dt=1e-2,
+                              store_every=1)
 
     def test_singularity_propagates_from_potential(self, standing1d):
         from strz.errors import SingularityError
@@ -361,9 +380,9 @@ class TestDuhamel:
             duhamel_iterate(u0, None, ZeroPotential(), (0.0, 1.0), dt=1e-7)
 
     def test_buffers_count_the_kept_samples(self, monkeypatch):
-        # a pseudoconformal V keeps one complex sample per node and a callable F
-        # one more field per node: v, Phi(v), the states and those two make 5
-        # stacks of 41 nodes, which 4.5 stacks of memory cannot hold
+        # a pseudoconformal V keeps one real sample per node (half a stack) and
+        # a callable F one more field per node: v, Phi(v), the states and those
+        # two make 4.5 stacks of 41 nodes, which 4.25 stacks of memory cannot hold
         def never(*args):
             raise AssertionError("the potential was sampled before the size check")
 
@@ -371,7 +390,7 @@ class TestDuhamel:
         u0 = gaussian_field(grid, sigma=1.0)
         V = PseudoconformalPotential(real_profile(grid, u0.values.real))
         monkeypatch.setattr(solver, "evaluate", never)
-        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 4.5 * 41 * 64**2 * 16)
+        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 4.25 * 41 * 64**2 * 16)
         with pytest.raises(PreconditionError, match="GiB"):
             duhamel_iterate(u0, lambda t: u0, V, (0.8, 1.0), dt=0.005)
 
@@ -388,6 +407,20 @@ class TestDuhamel:
         finally:
             tracemalloc.stop()
         assert peak <= 3.0 * 41 * 64**2 * 16, peak / (41 * 64**2 * 16)
+
+    def test_peak_memory_kept_samples_are_real(self):
+        # a pseudoconformal V keeps a real sample per node, half a stack in all;
+        # F returns one field, so its samples share it
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = PseudoconformalPotential(real_profile(grid, u0.values.real))
+        tracemalloc.start()
+        try:
+            duhamel_iterate(u0, lambda t: u0, V, (0.8, 1.0), dt=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 41 * 64**2 * 16, peak / (41 * 64**2 * 16)
 
 
 class TestDuhamelOrder:
@@ -570,11 +603,38 @@ class TestSolveGlobal:
         # 256 steps: both solvers store every step by the same default rule
         grid = make_grid(1, 12.0, 64)
         u0 = gaussian_field(grid, sigma=1.0)
-        glob = solve_global(u0, None, ZeroPotential(), (0.0, 2.56), 2, 2, tau=1.0,
-                            dt=0.01, pairs=[])
+        glob = solve_global(u0, None, ZeroPotential(), (0.0, 2.56), 2, 2, tau=1.0, dt=0.01)
         ss = split_step_evolve(u0, ZeroPotential(), interval=(0.0, 2.56), dt=0.01)
         assert len(glob.trajectory.states) == len(ss.trajectory.states) == 257
         np.testing.assert_array_equal(glob.trajectory.times, ss.trajectory.times)
+        assert glob.strichartz_ratios == ss.strichartz_ratios == {}
+
+    def test_kept_states_beyond_memory_rejected_before_any_piece(self, standing1d,
+                                                                  monkeypatch, duhamel_calls):
+        # pieces of 37 nodes need 3 * 37 + 1/2 fields of Duhamel buffers, which
+        # 200 fields of memory hold; the 401 kept states do not fit
+        grid, W, u0 = standing1d
+        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 200 * 64 * 16)
+        with pytest.raises(PreconditionError, match="GiB"):
+            solve_global(u0, None, StaticPotential(W), (0.0, 2.0), 2, 2, tau=1.0, dt=0.005,
+                         pairs=[], store_every=1)
+        assert duhamel_calls == []
+
+    def test_peak_memory_one_piece_at_a_time(self):
+        # 37 pieces of about 22 nodes and 801 samples, 9 of them kept: the chain
+        # holds one piece's buffers and the kept states, not every state
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = StaticPotential(real_profile(grid, -0.5 * u0.values.real))
+        tracemalloc.start()
+        try:
+            rep = solve_global(u0, None, V, (0.0, 4.0), 2, 2, tau=0.3, dt=5e-3, pairs=[],
+                               store_every=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.pieces, len(rep.trajectory.states)) == (37, 9)
+        assert peak <= 150 * 64**2 * 16, peak / (64**2 * 16)
 
     def test_store_every_zero_rejected_before_any_piece(self, standing1d, duhamel_calls):
         grid, W, u0 = standing1d
