@@ -43,6 +43,8 @@ def time_lattice(interval: Interval, dt: float) -> Tuple[np.ndarray, float]:
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError(f"interval must have positive length, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError(f"interval must have finite ends, got [{a}, {b}]")
     if not dt > 0:
         raise PreconditionError("dt must be positive")
     m = max(1, round((b - a) / dt))

@@ -48,6 +48,7 @@ from .spectral import (
     free_multiplier,
     gaussian_field,
     lq_norm,
+    lq_norm_table,
     lq_norms,
     strang_step,
     time_lp,
@@ -71,10 +72,10 @@ def endpoint_q(n: int) -> Exponent:
 
 def _stack_z_norm(times: np.ndarray, stack: np.ndarray, grid: Grid) -> float:
     """Z-norm of a stacked (m+1,) + grid.shape piece trajectory: the max of
-    its L^inf_t L^2 and L^2_t L^qe sample norms."""
+    its L^inf_t L^2 and L^2_t L^qe sample norms, from one norm-table call."""
     qe = endpoint_q(grid.n)
-    return max(time_lp(lq_norms(stack, grid, 2), times, "inf"),
-               time_lp(lq_norms(stack, grid, qe), times, 2))
+    norms = lq_norm_table(stack, grid, (TWO, qe))
+    return max(time_lp(norms[TWO], times, "inf"), time_lp(norms[qe], times, 2))
 
 
 class PotentialSampler:
@@ -87,19 +88,30 @@ class PotentialSampler:
         self._phases: Dict[Tuple[Hashable, float], np.ndarray] = {}
 
     def values_at(self, t: float) -> np.ndarray:
+        """Real V(t): a read-only view when V(t) is V's own stored profile,
+        else a copy, so no sample holds a complex field alive."""
         key = self.V.sample_key(t)
-        if key is None:
-            return evaluate(self.V, t, self.grid).values.real.copy()
-        if key not in self._cache:
-            self._cache[key] = evaluate(self.V, t, self.grid).values.real.copy()
-        return self._cache[key]
+        if key is not None and key in self._cache:
+            return self._cache[key]
+        field = evaluate(self.V, t, self.grid)
+        values = field.values.real
+        if field is not getattr(self.V, "profile", None):
+            values = values.copy()
+        if key is not None:
+            self._cache[key] = values
+        return values
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
-        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h."""
+        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h: the real
+        angle goes into the imaginary part of one complex buffer, and cos and
+        sin of it fill the two parts, with no complex temporary or exp."""
         key = self.V.sample_key(t)
         if key is not None and (key, h) in self._phases:
             return self._phases[(key, h)]
-        phase = np.exp(1j * (h / 2.0) * self.values_at(t))
+        phase = np.empty(self.grid.shape, dtype=np.complex128)
+        angle = np.multiply(h / 2.0, self.values_at(t), out=phase.imag)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=angle)
         if key is not None:
             self._phases[(key, h)] = phase
         return phase
@@ -189,8 +201,8 @@ class _Recorder:
     def add(self, t: float, values: np.ndarray) -> None:
         j = self.j
         self.times[j] = t
-        for q, series in self.norms.items():
-            series[j] = lq_norms(values, self.grid, q)
+        for q, norm in lq_norm_table(values, self.grid, self.norms).items():
+            self.norms[q][j] = norm
         if j == self.kept[len(self.stored)]:
             self.stored.append(ComplexField(self.grid, values))
         self.j += 1

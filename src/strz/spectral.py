@@ -10,12 +10,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PreconditionError, SupportEscapeError
-from .exponents import Exponent, as_exponent
+from .exponents import INF, Exponent, as_exponent
 
 # Fraction of |u|^2 mass tolerated in the outer 10% shell of the box before a
 # rescaling refuses to trust the periodic truncation; every potential
@@ -39,8 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise PreconditionError(f"grid dimension must be 1, 2 or 3, got {self.n}")
-        if not self.L > 0:
-            raise PreconditionError(f"box half-width must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise PreconditionError(f"box half-width must be positive and finite, got {self.L}")
         if self.N < 8 or self.N & (self.N - 1) != 0:
             raise PreconditionError(f"N must be a power of two >= 8, got {self.N}")
 
@@ -184,21 +184,53 @@ def free_propagate(u: ComplexField, t: float) -> ComplexField:
     return ComplexField(u.grid, strang_step(u.values, free_multiplier(u.grid, t)))
 
 
-def lq_norms(values: np.ndarray, grid: Grid, q: QLike) -> np.ndarray:
-    """Spatial L^q norms of complex or real floating samples by Riemann sum
-    over the trailing grid.n axes, so one state gives a scalar and a stacked
-    (m+1,) + grid.shape array gives one norm per state; q = inf gives the
-    grid max modulus."""
-    q = as_exponent(q)
+def lq_norm_table(values: np.ndarray, grid: Grid,
+                  qs: Iterable[QLike]) -> Dict[Exponent, np.ndarray]:
+    """Spatial L^q norms, for every q of qs, of complex or real floating
+    samples by Riemann sum over the trailing grid.n axes: one state gives a
+    scalar per q and a stacked (m+1,) + grid.shape array one norm per state.
+
+    One modulus pass fills |u| into the one real buffer the kernel allocates,
+    and every q reads it: q = inf first (the grid max modulus), then each q
+    that is not even by its own power pass (a temporary of the buffer's size
+    unless the pass is the buffer's last use).  Then the buffer is squared in
+    place: q = 2 sums |u|^2, q = 4 and q = 6 are fused multiply-sums (einsum)
+    of two and three |u|^2 operands, and q = 8, squaring once more, of two
+    |u|^4 operands, so the even q make no temporary and call no pow.
+    """
+    exps = {as_exponent(q) for q in qs}
+    even = sorted(q for q in exps if float(q) in (2.0, 4.0, 6.0, 8.0))
+    rest = [q for q in exps if q not in even and not q.is_infinite]
     axes = tuple(range(-grid.n, 0))
     mod = np.abs(values)
-    if q.is_infinite:
-        return mod.max(axis=axes)
-    qf = float(q)
-    if qf == 2.0:
-        return np.sqrt(np.square(mod, out=mod).sum(axis=axes) * grid.cell_volume)
-    mod **= qf
-    return (mod.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+    table = {INF: mod.max(axis=axes)} if INF in exps else {}
+    for i, q in enumerate(rest):
+        qf = float(q)
+        last_use = i == len(rest) - 1 and not even
+        powers = np.power(mod, qf, out=mod if last_use else None)
+        table[q] = (powers.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+    if not even:
+        return table
+    sq = np.square(mod, out=mod)  # |u|^2
+    sub = "..." + "ijk"[:grid.n]
+    for q in even:
+        qf = float(q)
+        if qf == 2.0:
+            table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
+            continue
+        if qf == 8.0:  # the last q: square the buffer once more, to |u|^4
+            np.square(sq, out=sq)
+        factors = 3 if qf == 6.0 else 2
+        total = np.einsum(",".join([sub] * factors) + "->...", *[sq] * factors)
+        table[q] = (total * grid.cell_volume) ** (1.0 / qf)
+    return table
+
+
+def lq_norms(values: np.ndarray, grid: Grid, q: QLike) -> np.ndarray:
+    """Spatial L^q norms of complex or real floating samples (lq_norm_table
+    for the one q); q = inf gives the grid max modulus."""
+    q = as_exponent(q)
+    return lq_norm_table(values, grid, (q,))[q]
 
 
 def lq_norm(u: ComplexField, q: QLike) -> float:

@@ -311,6 +311,21 @@ class TestCliSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["energy_drift"] < 1e-12
 
+    @pytest.mark.parametrize("grid_l, t1", [("inf", "1.0"), ("12.0", "inf")])
+    def test_nonfinite_length_validation_exit(self, tmp_path, capsys, grid_l, t1):
+        (tmp_path / "sim.cfg").write_text(
+            "\n".join([
+                "[grid]", "n = 1", f"l = {grid_l}", "n_points = 64", "",
+                "[initial]", "kind = gaussian", "sigma = 1.0", "",
+                "[potential]", "kind = zero", "",
+                "[run]", "method = split-step", f"t1 = {t1}", "dt = 0.01",
+            ]) + "\n"
+        )
+        code = main(["simulate", "--config", str(tmp_path / "sim.cfg"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
 
 class TestCliPartition:
     def test_partition_run(self, tmp_path):

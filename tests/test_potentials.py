@@ -35,6 +35,7 @@ from strz.potentials import (
     partition_interval,
     real_profile,
     schedule_rows,
+    time_lattice,
     trajectory_mixed_norm,
 )
 from strz.spectral import ComplexField, Trajectory, gaussian_field, lq_norm, make_grid
@@ -358,6 +359,15 @@ class TestAnalyticPseudoconformal:
             analytic_pseudoconformal_norm(1, 2, 3, delta=0.0, W_snorm=1.0)
         with pytest.raises(PreconditionError):
             analytic_pseudoconformal_norm("inf", 2, 3, delta=0.5, W_snorm=1.0)
+
+
+class TestTimeLattice:
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_nonfinite_ends(self, interval):
+        with pytest.raises(PreconditionError, match="finite"):
+            time_lattice(interval, 0.01)
+        with pytest.raises(PreconditionError, match="finite"):
+            mixed_norm(ZeroPotential(), 2, 2, interval, dt=0.01)
 
 
 def brute_force_min_pieces(powers, budget):

@@ -204,6 +204,23 @@ class TestSplitStep:
             split_step_evolve(u0, V, interval=(-0.5, 0.5), dt=1e-2)
 
 
+    def test_one_norm_table_call_per_sample(self, standing2d, monkeypatch):
+        grid, W, u0 = standing2d
+        calls = []
+        real = solver.lq_norm_table
+
+        def counting(values, g, qs):
+            calls.append(sorted(qs))
+            return real(values, g, qs)
+
+        monkeypatch.setattr(solver, "lq_norm_table", counting)
+        rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.2), dt=0.01,
+                                pairs=[("inf", 2), (4, 4), (3, 6)])
+        assert len(calls) == 20 + 1
+        assert all(qs == [Exponent(2), Exponent(4), Exponent(6)] for qs in calls)
+        assert len(rep.strichartz_ratios) == 3
+
+
 class TestZNorm:
     def test_endpoint_exponents(self):
         assert endpoint_q(3) == Exponent(6)
@@ -272,6 +289,21 @@ class TestPotentialSampler:
         times = [0.9, 0.95, 1.0]
         calls = self.sampled_times(PseudoconformalPotential(W), grid, times, monkeypatch)
         assert calls == times
+
+    def test_static_sample_is_the_profile(self, standing1d):
+        # a static V's sample is a read-only view of its stored profile
+        grid, W, _ = standing1d
+        V = StaticPotential(W)
+        sample = PotentialSampler(V, grid).values_at(0.3)
+        assert np.shares_memory(sample, V.profile.values)
+        assert not sample.flags.writeable
+
+    def test_pseudoconformal_sample_owns_its_data(self, standing1d):
+        # a fresh real copy, so the complex field of V(t) is freed
+        grid, W, _ = standing1d
+        sample = PotentialSampler(PseudoconformalPotential(W), grid).values_at(0.9)
+        assert sample.flags.owndata
+        assert not np.shares_memory(sample, W.values)
 
     @pytest.mark.parametrize("kind", ["zero", "static", "patched"])
     def test_phase_built_once_per_key_and_step(self, standing1d, kind):

@@ -15,6 +15,7 @@ from strz.spectral import (
     free_propagate,
     gaussian_field,
     lq_norm,
+    lq_norm_table,
     lq_norms,
     make_grid,
     rescale_field,
@@ -55,6 +56,11 @@ class TestGrid:
             make_grid(1, 8, 4)  # too small
         with pytest.raises(PreconditionError):
             make_grid(1, -1.0, 64)
+
+    @pytest.mark.parametrize("L", [float("inf"), float("nan")])
+    def test_nonfinite_half_width(self, L):
+        with pytest.raises(PreconditionError, match="finite"):
+            make_grid(1, L, 64)
 
     def test_coordinates_and_frequencies(self):
         g = make_grid(1, 2.0, 8)
@@ -192,7 +198,7 @@ class TestLqNorm:
         assert lq_norm(u, 2) == pytest.approx(np.pi**0.25, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("q", [1, 2, "8/3", 6, "inf"])
+    @pytest.mark.parametrize("q", [1, 2, "8/3", 4, 6, 8, "inf"])
     def test_stacked_matches_per_state(self, n, q):
         g = make_grid(n, 4.0, 8)
         states = [random_field(g, seed) for seed in range(5)]
@@ -220,6 +226,65 @@ class TestLqNorm:
             errs.append(abs(lq_norm(u, q) - exact))
         assert errs[0] / errs[1] > 4
         assert errs[1] / errs[2] > 4
+
+
+def per_q_norms(values, grid, q):
+    """One q at a time, by the operations of a per-q pass: |u| first, then
+    the max, sqrt of the summed squares, or the root of the summed powers."""
+    axes = tuple(range(-grid.n, 0))
+    mod = np.abs(values)
+    if q == "inf":
+        return mod.max(axis=axes)
+    qf = float(Exponent(q))
+    if qf == 2.0:
+        return np.sqrt(np.square(mod).sum(axis=axes) * grid.cell_volume)
+    return (np.power(mod, qf).sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+
+
+class TestLqNormTable:
+    QS = [1, 2, 3, 4, 6, 8, "8/3", "inf"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("complex_valued", [True, False])
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_matches_per_q_reference(self, n, complex_valued, stacked):
+        g = make_grid(n, 4.0, 8)
+        rng = np.random.default_rng(n)
+        shape = ((3,) if stacked else ()) + g.shape
+        values = rng.standard_normal(shape)
+        if complex_valued:
+            values = values + 1j * rng.standard_normal(shape)
+        table = lq_norm_table(values, g, self.QS)
+        assert set(table) == {Exponent(q) for q in self.QS}
+        for q in self.QS:
+            got, ref = table[Exponent(q)], per_q_norms(values, g, q)
+            assert np.shape(got) == np.shape(ref) == shape[:1 if stacked else 0]
+            if q in (4, 6, 8):  # fused products, not pow: roundoff only
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+            else:
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(lq_norms(values, g, q), got)
+
+    def test_input_untouched(self):
+        g = make_grid(2, 4.0, 8)
+        values = random_field(g, 3).values.real.copy()
+        before = values.copy()
+        lq_norm_table(values, g, self.QS)
+        np.testing.assert_array_equal(values, before)
+
+    @pytest.mark.parametrize("qs", [(2, 4, 6), (2, 8)])
+    def test_one_real_buffer(self, qs):
+        # a 2D N=64 Duhamel piece of 41 nodes: |u| is half the complex stack
+        g = make_grid(2, 10.0, 64)
+        rng = np.random.default_rng(0)
+        stack = rng.standard_normal((41,) + g.shape) + 1j * rng.standard_normal((41,) + g.shape)
+        tracemalloc.start()
+        try:
+            lq_norm_table(stack, g, qs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * stack.nbytes, peak / stack.nbytes
 
 
 class TestRescale:
