@@ -102,16 +102,11 @@ class PotentialSampler:
         return values
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
-        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h: the real
-        angle goes into the imaginary part of one complex buffer, and cos and
-        sin of it fill the two parts, with no complex temporary or exp."""
+        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h."""
         key = self.V.sample_key(t)
         if key is not None and (key, h) in self._phases:
             return self._phases[(key, h)]
-        phase = np.empty(self.grid.shape, dtype=np.complex128)
-        angle = np.multiply(h / 2.0, self.values_at(t), out=phase.imag)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=angle)
+        phase = np.exp(1j * (h / 2.0) * self.values_at(t))
         if key is not None:
             self._phases[(key, h)] = phase
         return phase

@@ -191,38 +191,35 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
     scalar per q and a stacked (m+1,) + grid.shape array one norm per state.
 
     One modulus pass fills |u| into the one real buffer the kernel allocates,
-    and every q reads it: q = inf first (the grid max modulus), then each q
-    that is not even by its own power pass (a temporary of the buffer's size
-    unless the pass is the buffer's last use).  Then the buffer is squared in
-    place: q = 2 sums |u|^2, q = 4 and q = 6 are fused multiply-sums (einsum)
-    of two and three |u|^2 operands, and q = 8, squaring once more, of two
-    |u|^4 operands, so the even q make no temporary and call no pow.
+    and every q reads it: q = inf first (the grid max modulus).  Then the
+    buffer is squared in place: q = 2 sums |u|^2, and q = 4 and q = 6 are
+    fused multiply-sums (einsum) of two and three |u|^2 operands, so they
+    make no temporary and call no pow.  Any other finite q (8 among them)
+    takes its own power pass in the buffer, refilled with |u| first if it
+    was already consumed.
     """
     exps = {as_exponent(q) for q in qs}
-    even = sorted(q for q in exps if float(q) in (2.0, 4.0, 6.0, 8.0))
+    even = [q for q in exps if float(q) in (2.0, 4.0, 6.0)]
     rest = [q for q in exps if q not in even and not q.is_infinite]
     axes = tuple(range(-grid.n, 0))
     mod = np.abs(values)
     table = {INF: mod.max(axis=axes)} if INF in exps else {}
+    if even:
+        sq = np.square(mod, out=mod)  # |u|^2
+        sub = "..." + "ijk"[:grid.n]
+        for q in even:
+            if float(q) == 2.0:
+                table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
+                continue
+            factors = 3 if float(q) == 6.0 else 2
+            total = np.einsum(",".join([sub] * factors) + "->...", *[sq] * factors)
+            table[q] = (total * grid.cell_volume) ** (1.0 / float(q))
     for i, q in enumerate(rest):
+        if even or i:
+            np.abs(values, out=mod)
         qf = float(q)
-        last_use = i == len(rest) - 1 and not even
-        powers = np.power(mod, qf, out=mod if last_use else None)
-        table[q] = (powers.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
-    if not even:
-        return table
-    sq = np.square(mod, out=mod)  # |u|^2
-    sub = "..." + "ijk"[:grid.n]
-    for q in even:
-        qf = float(q)
-        if qf == 2.0:
-            table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
-            continue
-        if qf == 8.0:  # the last q: square the buffer once more, to |u|^4
-            np.square(sq, out=sq)
-        factors = 3 if qf == 6.0 else 2
-        total = np.einsum(",".join([sub] * factors) + "->...", *[sq] * factors)
-        table[q] = (total * grid.cell_volume) ** (1.0 / qf)
+        mod **= qf
+        table[q] = (mod.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
     return table
 
 
