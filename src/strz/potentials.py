@@ -246,8 +246,8 @@ class PseudoconformalPotential(ProfilePotential):
         self._check_grid(grid)
         if t <= 0.0:
             raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-        scaled = rescale_field(self.profile, 1.0 / t)
-        return ComplexField(grid, scaled.values / t**2)
+        scaled = rescale_field(self.profile, 1.0 / t)  # real: its imaginary part is 0
+        return ComplexField(grid, scaled.values.real * (1.0 / t**2))
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)

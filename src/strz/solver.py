@@ -60,6 +60,7 @@ DEFAULT_Q_FALLBACK = 8  # endpoint space exponent for n <= 2
 CALIBRATION_FACTOR = 0.5  # largest contraction factor a calibrated tau allows
 CALIBRATION_TOL = 1e-6  # Duhamel stopping tolerance of the calibration runs
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
+STORE_BUDGET = 64 * 2**20  # bytes of states a run with the default stride keeps
 
 
 def endpoint_q(n: int) -> Exponent:
@@ -106,7 +107,8 @@ class PotentialSampler:
         key = self.V.sample_key(t)
         if key is not None and (key, h) in self._phases:
             return self._phases[(key, h)]
-        phase = np.exp(1j * (h / 2.0) * self.values_at(t))
+        phase = (0.5j * h) * self.values_at(t)
+        np.exp(phase, out=phase)
         if key is not None:
             self._phases[(key, h)] = phase
         return phase
@@ -174,16 +176,18 @@ def _check_buffers(fields: float, grid: Grid) -> None:
 class _Recorder:
     """The report path of both solvers, fed the m + 1 samples of a run one at a
     time.  Validates the pairs; keeps every store_every-th state plus the last
-    (by default about 256), refusing before the first step to keep more than
-    physical memory holds; logs each sample's L^q norm for q = 2 (the energy
-    log) and each q of the pairs; and builds the SolveReport from them."""
+    (by default about 256, thinned further so the kept states stay within
+    about STORE_BUDGET bytes), refusing before the first step to keep more
+    than physical memory holds; logs each sample's L^q norm for q = 2 (the
+    energy log) and each q of the pairs; and builds the SolveReport from them."""
 
     def __init__(self, grid: Grid, m: int,
                  pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]],
                  store_every: Optional[int]):
         self.pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
         if store_every is None:
-            store_every = max(1, math.ceil(m / 256))
+            store_every = max(1, math.ceil(m / 256),
+                              math.ceil((m + 1) * grid.npoints * 16 / STORE_BUDGET))
         elif store_every < 1:
             raise PreconditionError(f"store_every must be at least 1, got {store_every}")
         self.kept = np.union1d(np.arange(0, m + 1, store_every), m)

@@ -71,18 +71,18 @@ class Grid:
     def coords(self) -> List[np.ndarray]:
         return list(np.meshgrid(*([self.axis()] * self.n), indexing="ij"))
 
-    def radius_inf(self) -> np.ndarray:
-        """max_i |x_i| at every grid point (for shell masks)."""
-        return _radius_inf(self)
-
 
 @lru_cache(maxsize=8)
-def _radius_inf(grid: Grid) -> np.ndarray:
+def _shell_mask(grid: Grid) -> np.ndarray:
+    """Read-only mask of the outer (1 - SHELL_FRACTION) shell: the grid
+    points where max_i |x_i| >= SHELL_FRACTION * L."""
     ax = np.abs(grid.axis())
-    out = ax
+    radius = ax
     for _ in range(grid.n - 1):
-        out = np.maximum.outer(out, ax)
-    return out.reshape(grid.shape)
+        radius = np.maximum.outer(radius, ax)
+    mask = radius.reshape(grid.shape) >= SHELL_FRACTION * grid.L
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=8)
@@ -250,12 +250,12 @@ def time_lp(samples: np.ndarray, times: np.ndarray, p: QLike) -> float:
 
 def shell_mass_fraction(values: np.ndarray, grid: Grid) -> float:
     """Fraction of |u|^2 mass in the outer (1 - SHELL_FRACTION) shell."""
-    mass = np.abs(values) ** 2
+    mass = np.abs(values)
+    np.square(mass, out=mass)
     total = mass.sum()
     if total == 0.0:
         return 0.0
-    shell = grid.radius_inf() >= SHELL_FRACTION * grid.L
-    return float(mass[shell].sum() / total)
+    return float(mass[_shell_mask(grid)].sum() / total)
 
 
 def check_support(values: np.ndarray, grid: Grid, mass_tol: float, what: str) -> None:
@@ -284,7 +284,10 @@ def _sinc_matrix(grid: Grid, eps: float) -> np.ndarray:
     B = 1 << (N.bit_length() // 2)  # about sqrt(N); N // B is even
     fine = np.exp(1j * np.outer(theta, np.arange(B))) / N
     coarse = np.exp(1j * np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
-    E = (coarse[:, :, None] * fine[:, None, :]).reshape(N, N)  # k in fftfreq order
+    E = np.empty((N, N // B, B), dtype=np.complex128)
+    for c in range(N // B):  # one product per coarse column, no 3-D broadcast temporary
+        np.multiply(coarse[:, c, None], fine, out=E[:, c, :])
+    E = E.reshape(N, N)  # k in fftfreq order
     nyq = N // 2
     E[:, nyq] = E[:, nyq].real
     E[np.abs(eps * x) > grid.L * (1.0 + 1e-12), :] = 0.0
@@ -314,9 +317,9 @@ def rescale_field(f: ComplexField, eps: float, mass_tol: float = DEFAULT_MASS_TO
     out = f.values if f.values.imag.any() else f.values.real
     for _ in range(f.grid.n):  # map the leading axis, which comes back last
         out = out.reshape(f.grid.N, -1).T @ S.T
-    result = ComplexField(f.grid, out.reshape(f.grid.shape))
-    check_support(result.values, f.grid, mass_tol, "rescale output")
-    return result
+    out = out.reshape(f.grid.shape)
+    check_support(out, f.grid, mass_tol, "rescale output")
+    return ComplexField(f.grid, out)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,15 @@ from strz.potentials import (
     time_lattice,
     trajectory_mixed_norm,
 )
-from strz.spectral import ComplexField, Trajectory, gaussian_field, lq_norm, make_grid
+from strz.solver import PotentialSampler
+from strz.spectral import (
+    ComplexField,
+    Trajectory,
+    gaussian_field,
+    lq_norm,
+    make_grid,
+    rescale_field,
+)
 
 F = Fraction
 
@@ -359,6 +368,34 @@ class TestAnalyticPseudoconformal:
             analytic_pseudoconformal_norm(1, 2, 3, delta=0.0, W_snorm=1.0)
         with pytest.raises(PreconditionError):
             analytic_pseudoconformal_norm("inf", 2, 3, delta=0.5, W_snorm=1.0)
+
+
+class TestPseudoconformalSample:
+    @pytest.mark.parametrize("n, L, N", [(1, 16.0, 128), (2, 12.0, 64), (3, 10.0, 32)])
+    def test_matches_complex_division(self, n, L, N):
+        # the real product by 1 / t^2 equals dividing the complex rescale by t^2
+        g = make_grid(n, L, N)
+        W = real_profile(g, -1.5 * gaussian_field(g, sigma=1.0).values.real)
+        V = PseudoconformalPotential(W)
+        for t in (0.3, 0.5, 0.77, 1.0, 1.25):
+            np.testing.assert_array_equal(V.field_at(t, g).values,
+                                          rescale_field(W, 1.0 / t).values / t**2)
+
+    def test_peak_memory_of_one_phase(self):
+        # one half-phase of a moving V on a 2D N = 128 grid: a complex divide
+        # of the rescaled field plus its copy would peak at 3.13 fields
+        g = make_grid(2, 20.0, 128)
+        W = real_profile(g, -2.0 * gaussian_field(g, sigma=1.5).values.real)
+        sampler = PotentialSampler(PseudoconformalPotential(W), g)
+        sampler.phase_at(0.7, 2.5e-4)  # build the per-grid caches first
+        tracemalloc.start()
+        try:
+            phase = sampler.phase_at(0.8, 2.5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phase.shape == g.shape
+        assert peak <= 2.85 * g.npoints * 16, peak / (g.npoints * 16)
 
 
 class TestTimeLattice:

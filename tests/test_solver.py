@@ -710,6 +710,63 @@ class TestSolveGlobal:
         assert max(consts) / min(consts) < 1.5
 
 
+class TestStoreBudget:
+    """The default stride keeps the stored states within solver.STORE_BUDGET."""
+
+    grid = make_grid(2, 10.0, 16)
+    interval = (0.0, 1.0)  # 100 steps of dt = 0.01
+    pairs = [("inf", 2), (4, 4)]
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        """A budget of ten 2D N = 16 states, in bytes."""
+        monkeypatch.setattr(solver, "STORE_BUDGET", 10 * self.grid.npoints * 16)
+        return solver.STORE_BUDGET
+
+    def runs(self, store_every):
+        u0 = gaussian_field(self.grid, sigma=1.0)
+        V = StaticPotential(real_profile(self.grid, -0.5 * u0.values.real))
+        ss = split_step_evolve(u0, V, interval=self.interval, dt=0.01, pairs=self.pairs,
+                               store_every=store_every)
+        glob = solve_global(u0, None, V, self.interval, 2, 2, tau=0.3, dt=0.01,
+                            pairs=self.pairs, store_every=store_every)
+        assert glob.pieces > 1
+        return ss, glob
+
+    def test_default_keeps_budget_and_last(self, budget):
+        full = self.runs(1)
+        for rep, every in zip(self.runs(None), full):
+            states = rep.trajectory.states
+            assert 2 < len(states) <= budget // (self.grid.npoints * 16) + 1
+            assert rep.trajectory.times[-1] == self.interval[1]
+            np.testing.assert_array_equal(states[-1].values, every.trajectory.states[-1].values)
+
+    def test_explicit_stride_keeps_every_state(self, budget):
+        for rep in self.runs(1):
+            assert len(rep.trajectory.states) == 101
+
+    def test_norm_logs_unchanged_by_thinning(self, budget):
+        for thin, every in zip(self.runs(None), self.runs(1)):
+            assert thin.energy_drift == every.energy_drift
+            assert thin.strichartz_ratios == every.strichartz_ratios
+            kept = np.isin(every.trajectory.times, thin.trajectory.times)
+            np.testing.assert_array_equal(thin.trajectory.energy_log,
+                                          every.trajectory.energy_log[kept])
+
+    @pytest.mark.parametrize("n, N, m, kept", [
+        (2, 128, 2000, 251),  # the count stride 8 keeps 62.75 MiB, within the budget
+        (3, 64, 300, 17),  # 4 MiB states: the count stride 2 would keep 604 MiB
+        (3, 32, 200, 101),  # 512 KiB states: the count stride 1 would keep 100.5 MiB
+    ])
+    def test_real_budget_stride(self, n, N, m, kept):
+        # counted from the recorder alone: nothing is solved or stored
+        grid = make_grid(n, 10.0, N)
+        rec = solver._Recorder(grid, m, None, None)
+        assert len(rec.kept) == kept
+        assert rec.kept[-1] == m
+        assert (len(rec.kept) - 1) * grid.npoints * 16 <= solver.STORE_BUDGET
+
+
 class TestCalibrateTau:
     def test_zero_reference_returns_cap(self, standing1d):
         grid, _, _ = standing1d

@@ -373,6 +373,21 @@ def kernel_input(n, complex_valued):
     return u
 
 
+def broadcast_sinc_matrix(g, eps):
+    """_sinc_matrix with E = coarse (x) fine formed by one 3-D broadcast."""
+    N = g.N
+    x = g.axis()
+    theta = (np.pi / g.L) * (eps * x + g.L)
+    B = 1 << (N.bit_length() // 2)
+    fine = np.exp(1j * np.outer(theta, np.arange(B))) / N
+    coarse = np.exp(1j * np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
+    E = (coarse[:, :, None] * fine[:, None, :]).reshape(N, N)
+    E[:, N // 2] = E[:, N // 2].real
+    E[np.abs(eps * x) > g.L * (1.0 + 1e-12), :] = 0.0
+    np.fft.fftn(E, axes=(1,), out=E)
+    return np.ascontiguousarray(E.real)
+
+
 class TestSincKernel:
     @pytest.mark.parametrize("eps", KERNEL_EPS)
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
@@ -394,6 +409,14 @@ class TestSincKernel:
         assert S.dtype == np.float64
         assert np.abs(S.sum(axis=1)[~escaped] - 1.0).max() <= 1e-13
         assert not S[escaped].any()
+
+    @pytest.mark.parametrize("eps", KERNEL_EPS + (0.5, 3.0))
+    @pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
+    def test_matches_broadcast_build(self, N, eps):
+        # E built column block by column block equals the one 3-D broadcast
+        g = make_grid(1, 16.0, N)
+        np.testing.assert_array_equal(spectral._sinc_matrix(g, eps),
+                                      broadcast_sinc_matrix(g, eps))
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -488,3 +511,23 @@ class TestShellMass:
         g = make_grid(1, 16.0, 128)
         u = gaussian_field(g, sigma=1.0, center=(15.0,))
         assert shell_mass_fraction(u.values, g) > 0.5
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_masked_sum(self, n, complex_valued):
+        # the cached shell mask and the in-place square change no bit
+        g = make_grid(n, 8.0, 16)
+        u = random_field(g, seed=n).values
+        if not complex_valued:
+            u = u.real
+        mass = np.abs(u) ** 2
+        radius_inf = np.abs(np.stack(g.coords())).max(axis=0)
+        ref = mass[radius_inf >= spectral.SHELL_FRACTION * g.L].sum() / mass.sum()
+        assert shell_mass_fraction(u, g) == ref
+        assert shell_mass_fraction(u, g) == ref  # again, from the cached mask
+
+    def test_mask_cached_per_grid(self):
+        g = make_grid(2, 8.0, 16)
+        mask = spectral._shell_mask(g)
+        assert spectral._shell_mask(make_grid(2, 8.0, 16)) is mask
+        assert not mask.flags.writeable
