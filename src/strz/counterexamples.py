@@ -264,10 +264,12 @@ def window_crosscheck(
         tau0 = w.eps**2 * w.start
 
         probe_err = {"max": 0.0}
+        diff = np.empty(grid.shape, dtype=np.complex128)
 
         def probe(t: float, vals: np.ndarray):
-            d = float(lq_norms(vals - np.exp(-1j * t) * u0.values, grid, 2))
-            probe_err["max"] = max(probe_err["max"], d / u0_l2)
+            np.multiply(np.exp(-1j * t), u0.values, out=diff)
+            np.subtract(vals, diff, out=diff)
+            probe_err["max"] = max(probe_err["max"], float(lq_norms(diff, grid, 2)) / u0_l2)
 
         rep = split_step_evolve(
             u0, StaticPotential(family.W), interval=(0.0, tau_len), dt=dt,

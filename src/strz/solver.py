@@ -16,8 +16,10 @@ variant's sample_key like the values of V, and both feed their samples one
 at a time to ``_Recorder``, which builds the report.
 The discrete Duhamel map is the trapezoid rule at the sampling dt, written as
 a recursion on its own output with the one-step propagator K = exp(ih Lap):
-out[j+1] = K(out[j] - i(h/2) g_j) - i(h/2) g_{j+1} with g = F - V v, from
-out[0] = u0.  One sweep costs O(steps) FFTs; with g = 0 it is the free evolution.
+out[j+1] = K(out[j] + b_j) + b_{j+1} with b = i(h/2)(V v - F), from
+out[0] = u0.  One sweep costs O(steps) FFTs; with b = 0 it is the free evolution.
+A sweep writes each row in place, through one grid buffer besides its output
+stack, so it allocates nothing per row.
 """
 from __future__ import annotations
 
@@ -263,7 +265,6 @@ class DuhamelResult:
     trajectory: Trajectory
     factors: List[float]
     iterations: int
-    first_increment: float
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
 
 
@@ -292,22 +293,31 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     vvals = [sampler.values_at(float(t)) for t in times]
     fvals = [_source_at(F, float(t), grid) for t in times]
 
+    buf = np.empty(grid.shape, dtype=np.complex128)  # b_j, then out[j] + b_j
+
     def sweep(v: Optional[np.ndarray]) -> np.ndarray:
-        """Phi(v) by the recursion of the module docstring; g = 0 when v is None."""
+        """Phi(v) by the recursion of the module docstring, each row written in
+        place; b = 0 when v is None, which makes it the free evolution."""
         out = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
         out[0] = u0.values
-        g = _g(0, v)
+        if v is None:
+            for j in range(m):
+                strang_step(out[j], kin, out=out[j + 1])
+            return out
+        form_b(0, v)
         for j in range(m):
-            out[j + 1] = strang_step(out[j] - 1j * half * g, kin)
-            g = _g(j + 1, v)
-            out[j + 1] -= 1j * half * g
+            np.add(out[j], buf, out=buf)
+            strang_step(buf, kin, out=out[j + 1])
+            form_b(j + 1, v)
+            out[j + 1] += buf
         return out
 
-    def _g(j: int, v: Optional[np.ndarray]):
-        if v is None:
-            return 0.0
-        g = -vvals[j] * v[j]
-        return g if fvals[j] is None else g + fvals[j]
+    def form_b(j: int, v: np.ndarray) -> None:
+        """b_j = i(h/2)(V_j v_j - F_j), formed in buf."""
+        np.multiply(vvals[j], v[j], out=buf)
+        if fvals[j] is not None:
+            np.subtract(buf, fvals[j], out=buf)
+        np.multiply(buf, 1j * half, out=buf)
 
     def zdiff(a: np.ndarray, b: np.ndarray) -> float:
         """Z-norm of a - b, formed in a's buffer: the caller drops a."""
@@ -342,7 +352,7 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     states = [ComplexField(grid, v[j]) for j in range(m + 1)]
     traj = Trajectory(times=times, states=states, energy_log=lq_norms(v, grid, 2))
     return DuhamelResult(trajectory=traj, factors=factors, iterations=iterations,
-                         first_increment=d_first, residual=residual)
+                         residual=residual)
 
 
 def solve_global(

@@ -158,15 +158,23 @@ def free_multiplier(grid: Grid, t: float) -> np.ndarray:
     return np.exp(1j * t * _ksq(grid))
 
 
-def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None) -> np.ndarray:
+def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a
     free_multiplier of the step length h and phase the potential half-phase
     P = exp(i (h/2) V); phase None (P = 1) makes it exact free propagation.
 
-    Makes exactly one allocation, the returned array: P a (or a copy of a)
-    is formed in it and both FFTs and products then run in place, so a is
-    never written and may be read-only."""
-    out = np.array(a, dtype=np.complex128) if phase is None else phase * a
+    P a (or a copy of a) is formed in the result and both FFTs and products
+    then run in place, so a is never written and may be read-only.  Given
+    out, a complex128 array of a's shape that does not overlap a, the step
+    writes the result there, returns out and allocates nothing; else it
+    returns one new array."""
+    if out is None:
+        out = np.array(a, dtype=np.complex128) if phase is None else phase * a
+    elif phase is None:
+        np.copyto(out, a)
+    else:
+        np.multiply(phase, a, out=out)
     np.fft.fftn(out, out=out)
     np.multiply(kin, out, out=out)
     np.fft.ifftn(out, out=out)

@@ -38,11 +38,13 @@ from strz.solver import (
 )
 from strz.spectral import (
     ComplexField,
+    free_multiplier,
     free_propagate,
     gaussian_field,
     lq_norm,
     lq_norms,
     make_grid,
+    strang_step,
 )
 
 
@@ -338,12 +340,59 @@ class TestPotentialSampler:
         np.testing.assert_array_equal(first, np.exp(1j * (0.01 / 2) * sampler.values_at(0.9)))
 
 
+def reference_duhamel(u0, F, V, piece, dt, tol=1e-8, maxit=30):
+    """The Picard loop of duhamel_iterate over the out-of-place row recursion
+    out[j+1] = K(out[j] - i(h/2) g_j) - i(h/2) g_{j+1} with g = F - V v,
+    one temporary per operation; returns the iterate, its iteration count,
+    factors and relative residual."""
+    grid = u0.grid
+    times, h = time_lattice(piece, dt)
+    sampler = PotentialSampler(V, grid)
+    kin = free_multiplier(grid, h)
+    Vs = [sampler.values_at(float(t)) for t in times]
+    Fs = [solver._source_at(F, float(t), grid) for t in times]
+
+    def g(j, v):
+        if v is None:
+            return 0.0
+        gj = -Vs[j] * v[j]
+        return gj if Fs[j] is None else gj + Fs[j]
+
+    def sweep(v):
+        out = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+        out[0] = u0.values
+        for j in range(len(times) - 1):
+            out[j + 1] = strang_step(out[j] - 1j * (h / 2) * g(j, v), kin)
+            out[j + 1] -= 1j * (h / 2) * g(j + 1, v)
+        return out
+
+    def z(a):
+        return solver._stack_z_norm(times, a, grid)
+
+    v = sweep(None)
+    scale = z(v)
+    v_next = sweep(v)
+    d_first = z(v - v_next)
+    factors, iterations = [], 1
+    v, prev = v_next, d_first
+    if d_first > 1e-14 * scale:
+        while True:
+            v_next = sweep(v)
+            d = z(v - v_next)
+            factors.append(d / prev if prev > 0 else 0.0)
+            iterations += 1
+            v, prev = v_next, d
+            if d <= tol * d_first or iterations >= maxit:
+                break
+    return v, iterations, factors, z(sweep(v) - v) / z(v)
+
+
 class TestDuhamel:
     def test_zero_potential_one_iteration(self, standing1d):
         grid, _, u0 = standing1d
         res = duhamel_iterate(u0, None, ZeroPotential(), (0.0, 0.5), dt=0.01)
         assert res.iterations == 1
-        assert res.first_increment == 0.0
+        assert res.residual == 0.0 and res.factors == []
         for t, s in zip(res.trajectory.times, res.trajectory.states):
             exact = free_propagate(u0, float(t))
             assert np.abs(s.values - exact.values).max() < 1e-10
@@ -356,6 +405,23 @@ class TestDuhamel:
         res = duhamel_iterate(u0, F, ZeroPotential(), (0.0, 0.5), dt=0.01)
         assert res.iterations == 2
         assert res.residual < 1e-12
+
+    @pytest.mark.parametrize("dim, kind", [("standing1d", "static"),
+                                           ("standing2d", "pseudoconformal")])
+    def test_bit_identical_to_out_of_place_rows(self, request, dim, kind):
+        grid, W, u0 = request.getfixturevalue(dim)
+        F, V, piece = None, StaticPotential(W), (0.0, 0.25)
+        if kind == "pseudoconformal":
+            def F(t):
+                return ComplexField(grid, 0.3 * np.exp(-1j * t) * u0.values)
+
+            V, piece = PseudoconformalPotential(W), (0.8, 1.0)
+        res = duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-10)
+        v, iterations, factors, residual = reference_duhamel(u0, F, V, piece, 0.005, tol=1e-10)
+        assert res.iterations == iterations > 2
+        assert res.factors == factors
+        assert res.residual == residual
+        np.testing.assert_array_equal(np.array([s.values for s in res.trajectory.states]), v)
 
     def test_contraction_and_residual(self, standing1d):
         grid, W, u0 = standing1d

@@ -178,6 +178,28 @@ class TestStrangStep:
             tracemalloc.stop()
         assert peak <= 1.1 * a.nbytes
 
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_out_filled_bitwise_and_returned(self, with_phase):
+        a, kin, phase = strang_operands(2, 32, with_phase)
+        before = a.copy()
+        o = np.empty_like(before)
+        assert strang_step(a, kin, phase, out=o) is o
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_array_equal(o, strang_step(a, kin, phase))
+
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_out_allocates_no_grid(self, with_phase):
+        a, kin, phase = strang_operands(3, 32, with_phase)
+        o = np.empty_like(a)
+        strang_step(a, kin, phase, out=o)  # warm numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            strang_step(a, kin, phase, out=o)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * a.nbytes
+
 
 class TestLqNorm:
     def test_constant_field(self):
