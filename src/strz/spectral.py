@@ -170,8 +170,8 @@ def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = No
     writes the result there, returns out and allocates nothing; else it
     returns one new array."""
     if out is None:
-        out = np.array(a, dtype=np.complex128) if phase is None else phase * a
-    elif phase is None:
+        out = np.empty(np.shape(a), dtype=np.complex128)
+    if phase is None:
         np.copyto(out, a)
     else:
         np.multiply(phase, a, out=out)
