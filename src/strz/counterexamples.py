@@ -287,8 +287,8 @@ def window_crosscheck(
                 * lq_norm(u0, q)
             )
             norm_errors[(p, q)] = abs(numeric - closed) / closed
-        start_state = rescale_field(u0, w.eps, WINDOW_START_MASS_TOL)
-        energy_start = lq_norm(start_state, 2)
+        start_state = rescale_field(u0.values, grid, w.eps, WINDOW_START_MASS_TOL)
+        energy_start = float(lq_norms(start_state, grid, 2))
         energy_pred = w.eps ** (-family.n / 2.0) * u0_l2
         out.append(
             WindowCheck(
@@ -362,8 +362,8 @@ def pseudoconformal_state(u0: ComplexField, T: float) -> ComplexField:
     grid = u0.grid
     rsq = sum(x**2 for x in grid.coords())
     phase = np.exp(-1j * rsq / (4.0 * T) + 1j / T)
-    profile = rescale_field(u0, 1.0 / T, PSEUDOCONFORMAL_MASS_TOL)
-    return ComplexField(grid, phase * T ** (-grid.n / 2.0) * profile.values)
+    profile = rescale_field(u0.values, grid, 1.0 / T, PSEUDOCONFORMAL_MASS_TOL)
+    return ComplexField(grid, phase * T ** (-grid.n / 2.0) * profile)
 
 
 def pseudoconformal_solution_norm(u0: ComplexField, p: ExponentLike, q: ExponentLike,

@@ -29,7 +29,7 @@ from .exponents import (
     as_exponent,
     validate_schedule_params,
 )
-from .spectral import ComplexField, Grid, Trajectory, lq_norm, rescale_field, time_lp
+from .spectral import ComplexField, Grid, Trajectory, lq_norm, lq_norms, rescale_field, time_lp
 
 DEFAULT_DT = 1e-2
 
@@ -138,9 +138,10 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
 #
 # Every variant answers the same questions, so callers never branch on it:
 # ``kind`` (its config name), ``grid`` (its natural evaluation grid, None if
-# it has none), ``field_at`` (V(t) on a grid), ``norm_function``
-# (t -> ||V(t)||_s, exact per variant where possible) and ``sample_key`` (the
-# key under which a sampled field may be cached, None for never).
+# it has none), ``field_at`` (V(t) on a grid as real float64 samples, see
+# ``evaluate``), ``norm_function`` (t -> ||V(t)||_s, exact per variant where
+# possible) and ``sample_key`` (the key under which a sampled field may be
+# cached, None for never).
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ class ZeroPotential:
     def grid(self) -> Optional[Grid]:
         return None
 
-    def field_at(self, t: float, grid: Grid) -> ComplexField:
-        return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    def field_at(self, t: float, grid: Grid) -> np.ndarray:
+        return np.zeros(grid.shape)
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         return lambda t: 0.0
@@ -164,7 +165,8 @@ class ZeroPotential:
 @dataclass(frozen=True)
 class ProfilePotential:
     """Base of the variants built from one real profile W, evaluated on the
-    profile's own grid only."""
+    profile's own grid only.  The profile stays a ComplexField (the format
+    of configs and snapshots); samples read its real part."""
 
     profile: ComplexField
 
@@ -188,9 +190,9 @@ class ProfilePotential:
 class StaticPotential(ProfilePotential):
     kind = "static"
 
-    def field_at(self, t: float, grid: Grid) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> np.ndarray:
         self._check_grid(grid)
-        return self.profile
+        return self.profile.values.real
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
@@ -213,13 +215,12 @@ class PatchedRescaledPotential(ProfilePotential):
         if self.schedule.n != self.profile.grid.n:
             raise PreconditionError("schedule dimension does not match profile grid")
 
-    def field_at(self, t: float, grid: Grid) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> np.ndarray:
         self._check_grid(grid)
         w = self.schedule.window_at(t)
         if w is None:
-            return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))
-        scaled = rescale_field(self.profile, w.eps)
-        return ComplexField(grid, (w.eps**2) * scaled.values)
+            return np.zeros(grid.shape)
+        return (w.eps**2) * rescale_field(self.profile.values.real, grid, w.eps)
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
@@ -242,23 +243,35 @@ class PseudoconformalPotential(ProfilePotential):
 
     kind = "pseudoconformal"
 
-    def field_at(self, t: float, grid: Grid) -> ComplexField:
+    def field_at(self, t: float, grid: Grid) -> np.ndarray:
         self._check_grid(grid)
-        if t <= 0.0:
-            raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-        scaled = rescale_field(self.profile, 1.0 / t)  # real: its imaginary part is 0
-        return ComplexField(grid, scaled.values.real * (1.0 / t**2))
+        scale = _pseudoconformal_factor(t, lambda T: 1.0 / T**2)
+        profile = self.profile.values.real
+        if t == 1.0:
+            return profile  # V(1) = W, the profile's own read-only view
+        scaled = rescale_field(profile, grid, 1.0 / t)
+        scaled *= scale
+        return scaled
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         base = lq_norm(self.profile, s)
         expo = self.profile.grid.n * float(s.reciprocal) - 2.0
+        return lambda t: base * _pseudoconformal_factor(t, lambda T: T**expo)
 
-        def pseudo(t: float) -> float:
-            if t <= 0.0:
-                raise SingularityError(f"pseudoconformal potential is singular at T={t}")
-            return base * t**expo
 
-        return pseudo
+def _pseudoconformal_factor(t: float, power: Callable[[float], float]) -> float:
+    """power(T), a power of T in V(T, X) = T^(-2) W(X / T) or its norm.
+    SingularityError at T <= 0, and where the power is not a finite float
+    (for 1 / T^2, every T below about 1e-154)."""
+    if t <= 0.0:
+        raise SingularityError(f"pseudoconformal potential is singular at T={t}")
+    try:
+        factor = power(t)
+    except (OverflowError, ZeroDivisionError):
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise SingularityError(f"pseudoconformal potential overflows at T={t}")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -277,17 +290,17 @@ class SumPotential:
     def grid(self) -> Optional[Grid]:
         return next((term.grid for term, _, _ in self.terms if term.grid is not None), None)
 
-    def field_at(self, t: float, grid: Grid) -> ComplexField:
-        acc = np.zeros(grid.shape, dtype=np.complex128)
+    def field_at(self, t: float, grid: Grid) -> np.ndarray:
+        acc = np.zeros(grid.shape)
         for term, _, _ in self.terms:
-            acc = acc + term.field_at(t, grid).values
-        return ComplexField(grid, acc)
+            acc += term.field_at(t, grid)
+        return acc
 
     def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
         g = grid or self.grid
         if g is None:
             raise PreconditionError("sum of grid-free potentials needs an explicit grid")
-        return lambda t: lq_norm(self.field_at(t, g), s)
+        return lambda t: float(lq_norms(self.field_at(t, g), g, s))
 
     def sample_key(self, t: float) -> Hashable:
         return None
@@ -308,9 +321,12 @@ def real_profile(grid: Grid, values: np.ndarray) -> ComplexField:
     return ComplexField(grid, vals.astype(np.complex128))
 
 
-def evaluate(V: PotentialSpec, t: float, grid: Grid) -> ComplexField:
-    """The potential at time t as a real-valued field on the grid; rescaled
-    profiles are guarded at the box tolerance spectral.DEFAULT_MASS_TOL."""
+def evaluate(V: PotentialSpec, t: float, grid: Grid) -> np.ndarray:
+    """The potential at time t as real float64 samples on the grid.  Where
+    V(t) is V's stored profile (static V, pseudoconformal V at T = 1) they
+    are the read-only view of its real part, else an array the caller owns.
+    Rescaled profiles are guarded at the box tolerance
+    spectral.DEFAULT_MASS_TOL."""
     return V.field_at(t, grid)
 
 

@@ -91,15 +91,12 @@ class PotentialSampler:
         self._phases: Dict[Tuple[Hashable, float], np.ndarray] = {}
 
     def values_at(self, t: float) -> np.ndarray:
-        """Real V(t): a read-only view when V(t) is V's own stored profile,
-        else a copy, so no sample holds a complex field alive."""
+        """Real V(t) as evaluate returns it: a read-only view when V(t) is
+        V's own stored profile, else an array of its own."""
         key = self.V.sample_key(t)
         if key is not None and key in self._cache:
             return self._cache[key]
-        field = evaluate(self.V, t, self.grid)
-        values = field.values.real
-        if field is not getattr(self.V, "profile", None):
-            values = values.copy()
+        values = evaluate(self.V, t, self.grid)
         if key is not None:
             self._cache[key] = values
         return values

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -257,10 +257,14 @@ def time_lp(samples: np.ndarray, times: np.ndarray, p: QLike) -> float:
 
 
 def shell_mass_fraction(values: np.ndarray, grid: Grid) -> float:
-    """Fraction of |u|^2 mass in the outer (1 - SHELL_FRACTION) shell."""
+    """Fraction of |u|^2 mass in the outer (1 - SHELL_FRACTION) shell;
+    PreconditionError when the total mass is not finite (NaN or Inf
+    samples)."""
     mass = np.abs(values)
     np.square(mass, out=mass)
     total = mass.sum()
+    if not math.isfinite(total):
+        raise PreconditionError(f"|u|^2 mass {total} is not finite")
     if total == 0.0:
         return 0.0
     return float(mass[_shell_mask(grid)].sum() / total)
@@ -274,41 +278,51 @@ def check_support(values: np.ndarray, grid: Grid, mass_tol: float, what: str) ->
         )
 
 
-def _sinc_matrix(grid: Grid, eps: float) -> np.ndarray:
-    """Real per-axis matrix S that samples the trigonometric interpolant at
-    eps * x_j: S[j, k] is Trefethen's periodic sinc of eps * x_j - x_k.
+def _sinc_matrix(grid: Grid, eps: float) -> Tuple[np.ndarray, int]:
+    """The in-box rows of the real per-axis matrix S that samples the
+    trigonometric interpolant at eps * x_j, and the index of the first.
+    S[j, k] is Trefethen's periodic sinc of eps * x_j - x_k.
+
+    Only rows whose target eps * x_j lies in the box are built: they form
+    one contiguous block around x = 0.  The rescaled field keeps the R^n
+    meaning f(eps x), zero beyond the stored profile, so every other row of
+    S is zero instead of sampling periodic images.
 
     S = E DFT, where E[j, m] = (1/N) exp(i xi_m (eps x_j + L)) evaluates the
     interpolant from fft(f).  With xi_m = (pi/L) (a B + b), E is an outer
     product of two tables of powers (about N (B + N/B) exps, not N^2), and
     one fft of its rows gives S.  The Nyquist column is a cosine, so the
-    +-xi pairs cancel and S is real.  Rows whose target eps * x_j leaves the
-    box are zeroed: the rescaled field keeps the R^n meaning f(eps x) (zero
-    beyond the stored profile) instead of sampling periodic images.
+    +-xi pairs cancel and S is real.
     """
     N = grid.N
     x = grid.axis()
-    theta = (np.pi / grid.L) * (eps * x + grid.L)
+    inbox = np.flatnonzero(np.abs(eps * x) <= grid.L * (1.0 + 1e-12))
+    lo = int(inbox[0])
+    theta = (np.pi / grid.L) * (eps * x[lo:inbox[-1] + 1] + grid.L)
     B = 1 << (N.bit_length() // 2)  # about sqrt(N); N // B is even
     fine = np.exp(1j * np.outer(theta, np.arange(B))) / N
     coarse = np.exp(1j * np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
-    E = np.empty((N, N // B, B), dtype=np.complex128)
+    E = np.empty((len(theta), N // B, B), dtype=np.complex128)
     for c in range(N // B):  # one product per coarse column, no 3-D broadcast temporary
         np.multiply(coarse[:, c, None], fine, out=E[:, c, :])
-    E = E.reshape(N, N)  # k in fftfreq order
+    E = E.reshape(len(theta), N)  # k in fftfreq order
     nyq = N // 2
     E[:, nyq] = E[:, nyq].real
-    E[np.abs(eps * x) > grid.L * (1.0 + 1e-12), :] = 0.0
     np.fft.fftn(E, axes=(1,), out=E)
-    return np.ascontiguousarray(E.real)
+    return np.ascontiguousarray(E.real), lo
 
 
-def rescale_field(f: ComplexField, eps: float, mass_tol: float = DEFAULT_MASS_TOL) -> ComplexField:
-    """Band-limited sampling of x -> f(eps x) on the same grid.
+def rescale_field(values: np.ndarray, grid: Grid, eps: float,
+                  mass_tol: float = DEFAULT_MASS_TOL) -> np.ndarray:
+    """Band-limited samples of x -> f(eps x) on the grid, from samples of f.
 
-    Applies the real matrix of _sinc_matrix along each axis, so its one FFT
-    builds the kernel and f is not transformed; a real f takes real products
-    and gives an imaginary part of exactly zero.
+    Applies the in-box rows of the real matrix of _sinc_matrix along each
+    axis, so its one FFT builds the kernel and f is not transformed; the
+    mapped block is placed in a zero grid.  Real samples give a float64
+    result and complex ones a complex result; complex samples whose
+    imaginary part is zero take real products, guarded before their one
+    cast to complex, so that part stays exactly zero.  eps == 1 returns
+    values itself.
 
     Satisfies the change-of-variables identity ||f_eps||_q = eps^(-n/q) ||f||_q
     up to quadrature error on well-resolved profiles.  Raises
@@ -319,15 +333,16 @@ def rescale_field(f: ComplexField, eps: float, mass_tol: float = DEFAULT_MASS_TO
     if not eps > 0:
         raise PreconditionError(f"rescale factor must be positive, got {eps}")
     if eps == 1.0:
-        return f
-    check_support(f.values, f.grid, mass_tol, "rescale input")
-    S = _sinc_matrix(f.grid, float(eps))
-    out = f.values if f.values.imag.any() else f.values.real
-    for _ in range(f.grid.n):  # map the leading axis, which comes back last
-        out = out.reshape(f.grid.N, -1).T @ S.T
-    out = out.reshape(f.grid.shape)
-    check_support(out, f.grid, mass_tol, "rescale output")
-    return ComplexField(f.grid, out)
+        return values
+    check_support(values, grid, mass_tol, "rescale input")
+    S, lo = _sinc_matrix(grid, float(eps))
+    block = values.real if np.iscomplexobj(values) and not values.imag.any() else values
+    for _ in range(grid.n):  # map the leading axis, which comes back last
+        block = block.reshape(grid.N, -1).T @ S.T
+    out = np.zeros(grid.shape, dtype=block.dtype)
+    out[(slice(lo, lo + len(S)),) * grid.n] = block.reshape((len(S),) * grid.n)
+    check_support(out, grid, mass_tol, "rescale output")
+    return out.astype(np.result_type(values, np.float64), copy=False)
 
 
 @dataclass(frozen=True)

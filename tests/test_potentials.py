@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from strz.exponents import (
     local_params,
     scaling_exponent,
 )
+from strz import potentials
 from strz.potentials import (
     PatchedRescaledPotential,
     PseudoconformalPotential,
@@ -122,35 +124,52 @@ class TestSchedules:
 class TestEvaluate:
     def test_zero(self, grid1d):
         f = evaluate(ZeroPotential(), 3.7, grid1d)
-        assert np.all(f.values == 0)
+        assert f.dtype == np.float64
+        assert np.all(f == 0)
 
     def test_static(self, grid1d, bump):
+        # the stored profile itself: a read-only view of its real part, no copy
         V = StaticPotential(bump)
-        assert evaluate(V, 0.5, grid1d) is bump
+        got = evaluate(V, 0.5, grid1d)
+        assert got.base is bump.values
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, bump.values.real)
 
     def test_patched_inside_unit_window(self, grid1d, bump):
         sched = step_schedule([(0.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
         V = PatchedRescaledPotential(bump, sched)
         inside = evaluate(V, 0.5, grid1d)
-        np.testing.assert_allclose(inside.values, bump.values, atol=1e-13)
+        np.testing.assert_allclose(inside, bump.values, atol=1e-13)
 
     def test_patched_outside_zero(self, grid1d, bump):
         sched = step_schedule([(0.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
         V = PatchedRescaledPotential(bump, sched)
-        assert np.all(evaluate(V, 1.5, grid1d).values == 0)
+        assert np.all(evaluate(V, 1.5, grid1d) == 0)
 
     def test_patched_scaling(self, grid1d, bump):
         sched = step_schedule([(0.0, 1.0, 0.5)])
         V = PatchedRescaledPotential(bump, sched)
         got = evaluate(V, 0.5, grid1d)
         x = grid1d.axis()
-        np.testing.assert_allclose(got.values.real, 0.25 * np.exp(-((0.5 * x) ** 2) / 2),
+        np.testing.assert_allclose(got, 0.25 * np.exp(-((0.5 * x) ** 2) / 2),
                                    atol=1e-10)
 
     def test_pseudoconformal_identity_at_one(self, grid1d, bump):
         V = PseudoconformalPotential(bump)
         got = evaluate(V, 1.0, grid1d)
-        np.testing.assert_allclose(got.values, bump.values, atol=1e-13)
+        np.testing.assert_allclose(got, bump.values, atol=1e-13)
+
+    def test_pseudoconformal_at_one_leaves_profile_unchanged(self, grid1d, bump):
+        # V(1) = W is the profile's own read-only view, so scaling by 1 / T^2
+        # never writes it
+        V = PseudoconformalPotential(bump)
+        before = bump.values.copy()
+        got = V.field_at(1.0, grid1d)
+        assert np.shares_memory(got, bump.values)
+        assert not got.flags.writeable
+        for t in (0.5, 1.0, 2.0):
+            V.field_at(t, grid1d)
+        np.testing.assert_array_equal(bump.values, before)
 
     def test_pseudoconformal_singularity(self, grid1d, bump):
         V = PseudoconformalPotential(bump)
@@ -167,7 +186,20 @@ class TestEvaluate:
             )
         )
         got = evaluate(V, 0.0, grid1d)
-        np.testing.assert_allclose(got.values, 2 * bump.values, atol=1e-13)
+        np.testing.assert_allclose(got, 2 * bump.values, atol=1e-13)
+
+    def test_sum_sample_is_sum_of_term_samples(self, grid1d, bump):
+        sched = step_schedule([(0.0, 1.0, 0.5)])
+        terms = (StaticPotential(bump), PatchedRescaledPotential(bump, sched),
+                 PseudoconformalPotential(bump), ZeroPotential())
+        V = SumPotential(terms=tuple((term, Exponent(2), Exponent(2)) for term in terms))
+        got = evaluate(V, 0.5, grid1d)
+        want = np.zeros(grid1d.shape)
+        for term in terms:
+            want = want + evaluate(term, 0.5, grid1d)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.writeable  # the sum's own array, not a term's view
 
     def test_real_enforced(self, grid1d):
         vals = gaussian_field(grid1d).values * 1j
@@ -378,8 +410,32 @@ class TestPseudoconformalSample:
         W = real_profile(g, -1.5 * gaussian_field(g, sigma=1.0).values.real)
         V = PseudoconformalPotential(W)
         for t in (0.3, 0.5, 0.77, 1.0, 1.25):
-            np.testing.assert_array_equal(V.field_at(t, g).values,
-                                          rescale_field(W, 1.0 / t).values / t**2)
+            np.testing.assert_array_equal(V.field_at(t, g),
+                                          rescale_field(W.values, g, 1.0 / t) / t**2)
+
+    @pytest.mark.parametrize("t", [1e-160, 1e-170, 1e-320])
+    def test_tiny_t_is_singular(self, t, monkeypatch):
+        # 1 / T^2 is not a finite float: refused before any grid work
+        g = make_grid(2, 12.0, 64)
+        V = PseudoconformalPotential(real_profile(g, gaussian_field(g).values))
+
+        def no_grid_work(*args, **kwargs):
+            raise AssertionError("rescaled a profile at a singular T")
+
+        monkeypatch.setattr(potentials, "rescale_field", no_grid_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="overflows"):
+                V.field_at(t, g)
+
+    def test_tiny_t_norm_is_singular(self):
+        # T^(n/s - 2) = T^(-3/2) overflows at T = 1e-320
+        g = make_grid(2, 12.0, 64)
+        V = PseudoconformalPotential(real_profile(g, gaussian_field(g).values))
+        norm = V.norm_function(Exponent(4), None)
+        assert math.isfinite(norm(1e-200))
+        with pytest.raises(SingularityError, match="overflows"):
+            norm(1e-320)
 
     def test_peak_memory_of_one_phase(self):
         # one half-phase of a moving V on a 2D N = 128 grid: a complex divide

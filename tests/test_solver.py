@@ -11,7 +11,7 @@ from strz.errors import (
 )
 from strz.exponents import Exponent
 from strz.groundstate import default_weight, ground_pair, standing_wave_potential
-from strz import solver
+from strz import potentials, solver
 from strz.exponents import ScheduleKind, ScheduleParams
 from strz.potentials import (
     PatchedRescaledPotential,
@@ -222,6 +222,31 @@ class TestSplitStep:
         assert all(qs == [Exponent(2), Exponent(4), Exponent(6)] for qs in calls)
         assert len(rep.strichartz_ratios) == 3
 
+    def test_fft_count_identity_moving_potential(self, standing2d, monkeypatch):
+        # the benchmark's identity fft.calls == 2 steps + rescale_field.calls:
+        # two FFTs per Strang step, one per sinc kernel, and one evaluate
+        # and one rescale per step of a moving potential
+        grid, W, u0 = standing2d
+        calls = {"fft": 0, "rescale_field": 0, "evaluate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+        monkeypatch.setattr(potentials, "rescale_field",
+                            counted("rescale_field", potentials.rescale_field))
+        monkeypatch.setattr(solver, "evaluate", counted("evaluate", solver.evaluate))
+        steps = 20
+        split_step_evolve(u0, PseudoconformalPotential(W), interval=(0.8, 1.0), dt=0.01)
+        assert calls["fft"] == 2 * steps + calls["rescale_field"]
+        assert calls["rescale_field"] == steps
+        assert calls["evaluate"] == steps
+
 
 class TestZNorm:
     def test_endpoint_exponents(self):
@@ -267,8 +292,7 @@ class TestPotentialSampler:
         monkeypatch.setattr(solver, "evaluate", counting)
         sampler = PotentialSampler(V, grid)
         for t in times:
-            np.testing.assert_array_equal(sampler.values_at(t),
-                                          real(V, t, grid).values.real)
+            np.testing.assert_array_equal(sampler.values_at(t), real(V, t, grid))
         return calls
 
     def test_caches_static_and_zero_once(self, standing1d, monkeypatch):
@@ -301,7 +325,7 @@ class TestPotentialSampler:
         assert not sample.flags.writeable
 
     def test_pseudoconformal_sample_owns_its_data(self, standing1d):
-        # a fresh real copy, so the complex field of V(t) is freed
+        # the rescaled samples are the sample's own real array
         grid, W, _ = standing1d
         sample = PotentialSampler(PseudoconformalPotential(W), grid).values_at(0.9)
         assert sample.flags.owndata
@@ -577,7 +601,7 @@ class TestDuhamelFixedPoint:
     def implicit_sweep(u0, F, V, piece, dt):
         grid = u0.grid
         times, h = time_lattice(piece, dt)
-        Vs = [evaluate(V, float(t), grid).values.real for t in times]
+        Vs = [evaluate(V, float(t), grid) for t in times]
         Fs = [np.zeros(grid.shape) if F is None else
               (F if isinstance(F, ComplexField) else F(float(t))).values for t in times]
         v = [u0.values]

@@ -313,56 +313,66 @@ class TestRescale:
     def test_identity(self):
         g = make_grid(1, 8.0, 64)
         u = gaussian_field(g)
-        assert rescale_field(u, 1.0) is u
+        assert rescale_field(u.values, g, 1.0) is u.values
 
     def test_norm_identity_shrink(self):
         # eps = 2, n = 3, q = 2 -> factor 2^(-3/2)
         g = make_grid(3, 8.0, 32)
         u = gaussian_field(g, sigma=1.5)
-        v = rescale_field(u, 2.0)
-        assert lq_norm(v, 2) == pytest.approx(2.0 ** (-1.5) * lq_norm(u, 2), rel=1e-6)
+        v = rescale_field(u.values, g, 2.0)
+        assert lq_norms(v, g, 2) == pytest.approx(2.0 ** (-1.5) * lq_norm(u, 2), rel=1e-6)
 
     def test_norm_identity_widen(self):
         # eps = 1/2, n = 2, q = 4 -> factor sqrt(2)
         g = make_grid(2, 16.0, 128)
         u = gaussian_field(g, sigma=1.0)
-        v = rescale_field(u, 0.5)
-        assert lq_norm(v, 4) == pytest.approx(np.sqrt(2.0) * lq_norm(u, 4), rel=1e-6)
+        v = rescale_field(u.values, g, 0.5)
+        assert lq_norms(v, g, 4) == pytest.approx(np.sqrt(2.0) * lq_norm(u, 4), rel=1e-6)
 
     def test_norm_identity_sweep(self):
         g = make_grid(1, 24.0, 512)
         u = gaussian_field(g, sigma=1.0)
         for eps in (0.25, 0.5, 2.0, 4.0):
             for q in (2, 4):
-                v = rescale_field(u, eps)
-                assert lq_norm(v, q) == pytest.approx(
+                v = rescale_field(u.values, g, eps)
+                assert lq_norms(v, g, q) == pytest.approx(
                     eps ** (-1.0 / q) * lq_norm(u, q), rel=1e-6
                 )
 
     def test_pointwise_against_exact(self):
         g = make_grid(1, 16.0, 256)
         u = gaussian_field(g, sigma=1.0)
-        v = rescale_field(u, 0.5)
+        v = rescale_field(u.values, g, 0.5)
         x = g.axis()
-        np.testing.assert_allclose(v.values, np.exp(-((0.5 * x) ** 2) / 2), atol=1e-10)
+        np.testing.assert_allclose(v, np.exp(-((0.5 * x) ** 2) / 2), atol=1e-10)
 
     def test_support_escape(self):
         g = make_grid(1, 8.0, 64)
         u = gaussian_field(g, sigma=4.0)
         with pytest.raises(SupportEscapeError):
-            rescale_field(u, 0.25)
+            rescale_field(u.values, g, 0.25)
 
     def test_real_stays_real(self):
         g = make_grid(1, 16.0, 128)
         u = gaussian_field(g, sigma=1.0)
-        v = rescale_field(u, 1.5)
-        assert np.abs(v.values.imag).max() == 0.0
+        v = rescale_field(u.values, g, 1.5)
+        assert v.dtype == np.complex128
+        assert np.abs(v.imag).max() == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_input_gives_float64(self, n):
+        # real samples take real products end to end, equal to the real
+        # part of the complex input's result
+        u = kernel_input(n, complex_valued=False)
+        v = rescale_field(u.values.real, u.grid, 1.37)
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v, rescale_field(u.values, u.grid, 1.37).real)
 
     def test_invalid_eps(self):
         g = make_grid(1, 8.0, 64)
         u = gaussian_field(g)
         with pytest.raises(PreconditionError):
-            rescale_field(u, -1.0)
+            rescale_field(u.values, g, -1.0)
 
 
 def dense_rescale(u, eps):
@@ -416,29 +426,37 @@ class TestSincKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_matrix(self, n, complex_valued, eps):
         u = kernel_input(n, complex_valued)
-        v = rescale_field(u, eps).values
+        v = rescale_field(u.values, u.grid, eps)
         ref = dense_rescale(u, eps)
         assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+        escaped = np.flatnonzero(np.abs(eps * u.grid.axis()) > u.grid.L * (1.0 + 1e-12))
+        for axis in range(n):  # targets outside the box are exactly zero
+            assert not np.take(v, escaped, axis=axis).any()
         if not complex_valued:
             assert np.abs(v.imag).max() == 0.0
 
     @pytest.mark.parametrize("eps", KERNEL_EPS)
     @pytest.mark.parametrize("N", [8, 64, 128])
     def test_rows_reproduce_constants(self, N, eps):
+        # the block is exactly the in-box rows, and each sums to 1
         g = make_grid(1, 16.0, N)
-        S = spectral._sinc_matrix(g, eps)
+        block, lo = spectral._sinc_matrix(g, eps)
         escaped = np.abs(eps * g.axis()) > g.L * (1.0 + 1e-12)
-        assert S.dtype == np.float64
-        assert np.abs(S.sum(axis=1)[~escaped] - 1.0).max() <= 1e-13
-        assert not S[escaped].any()
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(np.flatnonzero(~escaped), lo + np.arange(len(block)))
+        assert np.abs(block.sum(axis=1) - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("eps", KERNEL_EPS + (0.5, 3.0))
     @pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
     def test_matches_broadcast_build(self, N, eps):
-        # E built column block by column block equals the one 3-D broadcast
+        # the block built column block by column block equals the in-box
+        # rows of the one 3-D broadcast, whose escaped rows are exactly zero
         g = make_grid(1, 16.0, N)
-        np.testing.assert_array_equal(spectral._sinc_matrix(g, eps),
-                                      broadcast_sinc_matrix(g, eps))
+        block, lo = spectral._sinc_matrix(g, eps)
+        full = broadcast_sinc_matrix(g, eps)
+        rows = slice(lo, lo + len(block))
+        np.testing.assert_array_equal(block, full[rows])
+        assert not full[:lo].any() and not full[rows.stop:].any()
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -458,7 +476,7 @@ class TestSincKernel:
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
         for eps in KERNEL_EPS:
-            rescale_field(u, eps)
+            rescale_field(u.values, u.grid, eps)
         assert calls == {"fftn": len(KERNEL_EPS), "ifftn": 0}
 
 
@@ -533,6 +551,17 @@ class TestShellMass:
         g = make_grid(1, 16.0, 128)
         u = gaussian_field(g, sigma=1.0, center=(15.0,))
         assert shell_mass_fraction(u.values, g) > 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_mass_refused(self, bad):
+        # a NaN total would compare False against any tolerance and pass
+        g = make_grid(2, 8.0, 16)
+        vals = gaussian_field(g).values.real.copy()
+        vals[8, 8] = bad
+        with pytest.raises(PreconditionError, match="not finite"):
+            spectral.check_support(vals, g, 1e-8, "probe")
+        with pytest.raises(PreconditionError, match="not finite"):
+            rescale_field(vals, g, 1.5)
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3])
