@@ -13,7 +13,9 @@ Two routes are implemented and cross-validated:
 Both step with the one kernel ``spectral.strang_step``; the split-step
 half-phases exp(i (h/2) V) come from ``PotentialSampler``, cached under the
 variant's sample_key like the values of V, and both feed their samples one
-at a time to ``_Recorder``, which builds the report.
+at a time to ``_Recorder``, which builds the report.  A half-phase is
+``spectral.unit_phase`` of (h/2) V, formed in the phase's own imaginary part:
+cos and sin, bit for bit the complex exp of i (h/2) V.
 The discrete Duhamel map is the trapezoid rule at the sampling dt, written as
 a recursion on its own output with the one-step propagator K = exp(ih Lap):
 out[j+1] = K(out[j] + b_j) + b_{j+1} with b = i(h/2)(V v - F), from
@@ -54,6 +56,7 @@ from .spectral import (
     lq_norms,
     strang_step,
     time_lp,
+    unit_phase,
 )
 
 SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
@@ -102,12 +105,18 @@ class PotentialSampler:
         return values
 
     def phase_at(self, t: float, h: float) -> np.ndarray:
-        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h."""
+        """Half-phase exp(i (h/2) V(t)) for a Strang step of length h > 0.
+
+        theta = (h/2) V is formed in the imaginary part of the result, which
+        unit_phase then fills in place: no temporary, and bit for bit
+        np.exp((0.5j * h) * V), whose product is +0 + i theta as well."""
         key = self.V.sample_key(t)
         if key is not None and (key, h) in self._phases:
             return self._phases[(key, h)]
-        phase = (0.5j * h) * self.values_at(t)
-        np.exp(phase, out=phase)
+        values = self.values_at(t)
+        phase = np.empty(values.shape, dtype=np.complex128)
+        np.multiply(values, 0.5 * h, out=phase.imag)  # theta = (h/2) V in place
+        unit_phase(phase.imag, out=phase)
         if key is not None:
             self._phases[(key, h)] = phase
         return phase

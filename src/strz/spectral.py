@@ -3,6 +3,11 @@
 The box [-L, L)^n stands in for R^n.  All sign conventions follow the
 equation i u_t - Lap(u) + V u = F, so the free evolution multiplies the
 Fourier coefficient at frequency xi by exp(+i t |xi|^2).
+
+Every exp(i theta) of a real theta on a solve path (free_multiplier, the
+solver's half-phases, the power tables of _sinc_matrix) is unit_phase:
+cos(theta) + i sin(theta) in one complex array, bit for bit what
+np.exp(1j * theta) gives, without its complex product and exp.
 """
 from __future__ import annotations
 
@@ -153,9 +158,31 @@ class Trajectory:
         return self.states[0].grid
 
 
+def unit_phase(theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(i theta) of real theta as cos(theta) + i sin(theta), written into
+    out (a complex128 array of theta's shape, whose imaginary part may be
+    theta itself) or into one new array.
+
+    Bit for bit np.exp(1j * theta), without its complex product or the exp
+    of a real part: 1j * theta is +0 + i theta, which turns theta = -0 into
+    +0 and keeps every other theta, and numpy's complex exp of +-0 + i theta
+    is exp(+-0) (cos theta + i sin theta) with exp(+-0) = 1 exactly.  That
+    numpy's cos and sin agree with the ones inside its complex exp is pinned
+    by the tests, on the numpy floor too."""
+    if out is None:
+        out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.add(theta, 0.0, out=out.imag)  # -0 + 0.0 is +0, as in 1j * theta
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
+
+
 def free_multiplier(grid: Grid, t: float) -> np.ndarray:
-    """Fourier multiplier exp(+i t |xi|^2) of the free group."""
-    return np.exp(1j * t * _ksq(grid))
+    """Fourier multiplier exp(+i t |xi|^2) of the free group, as
+    unit_phase(t |xi|^2): bit for bit np.exp(1j * t * |xi|^2) for t >= 0.
+    For t < 0 the xi = 0 entry is 1 + 0j, where that product kept the -0
+    of t * 0 and gave 1 - 0j."""
+    return unit_phase(t * _ksq(grid))
 
 
 def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None,
@@ -256,13 +283,31 @@ def time_lp(samples: np.ndarray, times: np.ndarray, p: QLike) -> float:
     return float(np.trapezoid(samples**pf, x=times) ** (1.0 / pf))
 
 
+def _squared_modulus(values: np.ndarray) -> np.ndarray:
+    """|u|^2 in one new real array; real samples are squared directly, since
+    x^2 = |x|^2 exactly, which skips the modulus pass."""
+    if not np.iscomplexobj(values):
+        return np.square(values)
+    mass = np.abs(values)
+    return np.square(mass, out=mass)
+
+
 def shell_mass_fraction(values: np.ndarray, grid: Grid) -> float:
     """Fraction of |u|^2 mass in the outer (1 - SHELL_FRACTION) shell;
     PreconditionError when the total mass is not finite (NaN or Inf
-    samples)."""
-    mass = np.abs(values)
-    np.square(mass, out=mass)
-    total = mass.sum()
+    samples).
+
+    A finite sample above about 1.3e154 squares past the float64 range; the
+    total is then taken again from the samples divided by their max modulus,
+    which leaves the fraction as it is."""
+    with np.errstate(over="ignore"):
+        mass = _squared_modulus(values)
+        total = mass.sum()
+        if total == math.inf:
+            peak = np.abs(values).max()  # not finite for NaN or Inf samples
+            if math.isfinite(peak):
+                mass = _squared_modulus(values / peak)
+                total = mass.sum()
     if not math.isfinite(total):
         raise PreconditionError(f"|u|^2 mass {total} is not finite")
     if total == 0.0:
@@ -290,9 +335,9 @@ def _sinc_matrix(grid: Grid, eps: float) -> Tuple[np.ndarray, int]:
 
     S = E DFT, where E[j, m] = (1/N) exp(i xi_m (eps x_j + L)) evaluates the
     interpolant from fft(f).  With xi_m = (pi/L) (a B + b), E is an outer
-    product of two tables of powers (about N (B + N/B) exps, not N^2), and
-    one fft of its rows gives S.  The Nyquist column is a cosine, so the
-    +-xi pairs cancel and S is real.
+    product of two tables of powers (about N (B + N/B) unit_phase entries,
+    not N^2), and one fft of its rows gives S.  The Nyquist column is a
+    cosine, so the +-xi pairs cancel and S is real.
     """
     N = grid.N
     x = grid.axis()
@@ -300,8 +345,9 @@ def _sinc_matrix(grid: Grid, eps: float) -> Tuple[np.ndarray, int]:
     lo = int(inbox[0])
     theta = (np.pi / grid.L) * (eps * x[lo:inbox[-1] + 1] + grid.L)
     B = 1 << (N.bit_length() // 2)  # about sqrt(N); N // B is even
-    fine = np.exp(1j * np.outer(theta, np.arange(B))) / N
-    coarse = np.exp(1j * np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
+    fine = unit_phase(np.outer(theta, np.arange(B)))
+    fine /= N
+    coarse = unit_phase(np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
     E = np.empty((len(theta), N // B, B), dtype=np.complex128)
     for c in range(N // B):  # one product per coarse column, no 3-D broadcast temporary
         np.multiply(coarse[:, c, None], fine, out=E[:, c, :])

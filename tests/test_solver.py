@@ -81,6 +81,23 @@ def linf_l2_gap(traj_a, traj_b, scale):
     return max(diffs) / scale
 
 
+def standing_wave_probe(grid, u0):
+    """A step probe and the dict in which it keeps the largest relative L^2
+    distance of a state from the standing wave exp(-it) u0; the difference is
+    formed in one buffer per run."""
+    err = {"max": 0.0}
+    diff = np.empty(grid.shape, dtype=np.complex128)
+    u0_l2 = lq_norm(u0, 2)
+
+    def probe(t, vals):
+        np.multiply(np.exp(-1j * t), u0.values, out=diff)
+        np.subtract(vals, diff, out=diff)
+        d = np.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell_volume)
+        err["max"] = max(err["max"], d / u0_l2)
+
+    return probe, err
+
+
 class TestSplitStep:
     def test_zero_potential_matches_free(self):
         grid = make_grid(1, 16.0, 128)
@@ -92,13 +109,7 @@ class TestSplitStep:
 
     def test_standing_wave_phase(self, standing1d):
         grid, W, u0 = standing1d
-        err = {"max": 0.0}
-
-        def probe(t, vals):
-            exact = np.exp(-1j * t) * u0.values
-            d = np.sqrt(np.sum(np.abs(vals - exact) ** 2) * grid.cell_volume)
-            err["max"] = max(err["max"], d / lq_norm(u0, 2))
-
+        probe, err = standing_wave_probe(grid, u0)
         rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 2.0), dt=1e-3,
                                 step_probe=probe)
         assert err["max"] < 1e-4
@@ -108,13 +119,7 @@ class TestSplitStep:
         grid, W, u0 = standing1d
 
         def phase_err(dt):
-            e = {"max": 0.0}
-
-            def probe(t, vals):
-                exact = np.exp(-1j * t) * u0.values
-                d = np.sqrt(np.sum(np.abs(vals - exact) ** 2) * grid.cell_volume)
-                e["max"] = max(e["max"], d / lq_norm(u0, 2))
-
+            probe, e = standing_wave_probe(grid, u0)
             split_step_evolve(u0, StaticPotential(W), interval=(0.0, 1.0), dt=dt,
                               step_probe=probe)
             return e["max"]
@@ -141,13 +146,7 @@ class TestSplitStep:
         def F(t):
             return ComplexField(grid, c * np.exp(-1j * t) * u0.values)
 
-        err = {"max": 0.0}
-
-        def probe(t, vals):
-            exact = np.exp(-1j * t) * u0.values
-            d = np.sqrt(np.sum(np.abs(vals - exact) ** 2) * grid.cell_volume)
-            err["max"] = max(err["max"], d / lq_norm(u0, 2))
-
+        probe, err = standing_wave_probe(grid, u0)
         split_step_evolve(u0, StaticPotential(Wc), F=F, interval=(0.0, 1.0), dt=1e-3,
                           step_probe=probe)
         assert err["max"] < 1e-4
@@ -362,6 +361,18 @@ class TestPotentialSampler:
         first = sampler.phase_at(0.9, 0.01)
         assert sampler.phase_at(0.9, 0.01) is not first
         np.testing.assert_array_equal(first, np.exp(1j * (0.01 / 2) * sampler.values_at(0.9)))
+
+    @pytest.mark.parametrize("h", [2.5e-4, 1e-3, 0.01])
+    def test_phase_matches_complex_exp_bit_for_bit(self, standing1d, h):
+        grid, W, _ = standing1d
+        vals = W.values.real.copy()
+        vals[:4] = -0.0, 0.0, -1e-310, 5e-324  # signed zeros and subnormals
+        for V, t in ((StaticPotential(real_profile(grid, vals)), 0.3),
+                     (PseudoconformalPotential(W), 0.9), (PseudoconformalPotential(W), 1.7)):
+            sampler = PotentialSampler(V, grid)
+            ref = np.exp((0.5j * h) * sampler.values_at(t))
+            got = sampler.phase_at(t, h)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def reference_duhamel(u0, F, V, piece, dt, tol=1e-8, maxit=30):

@@ -129,6 +129,50 @@ class TestFreePropagate:
         assert diff < 1e-12 * np.abs(b.values).max()
 
 
+def same_bits(a, b):
+    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+PHASE_THETAS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-3, -1e-3, 1.0, -1.0,
+                1e3, -1e3, 1e8, -1e8]
+
+
+class TestUnitPhase:
+    @pytest.mark.parametrize("theta", PHASE_THETAS)
+    def test_special_angles_match_complex_exp(self, theta):
+        theta = np.array([theta])
+        assert same_bits(spectral.unit_phase(theta), np.exp(1j * theta))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8])
+    def test_random_angles_match_complex_exp(self, scale):
+        theta = np.random.default_rng(7).uniform(-scale, scale, (64, 64))
+        assert same_bits(spectral.unit_phase(theta), np.exp(1j * theta))
+
+    def test_in_place_from_imaginary_part(self):
+        theta = np.random.default_rng(8).uniform(-3.0, 3.0, (32, 32))
+        theta[0, :2] = -0.0, 0.0
+        out = np.empty(theta.shape, dtype=np.complex128)
+        out.imag[...] = theta
+        assert spectral.unit_phase(out.imag, out=out) is out
+        assert same_bits(out, np.exp(1j * theta))
+
+    @pytest.mark.parametrize("t", [2.5e-4, 1e-3 / 2, 0.01, 0.3, 10.0])
+    @pytest.mark.parametrize("n, N", [(1, 128), (2, 64), (3, 16)])
+    def test_free_multiplier_matches_complex_exp(self, n, N, t):
+        g = make_grid(n, 8.0, N)
+        assert same_bits(free_multiplier(g, t), np.exp(1j * t * spectral._ksq(g)))
+
+    def test_free_multiplier_backward_differs_only_in_the_sign_of_one_zero(self):
+        # 1j * t keeps the -0 of t * 0 at xi = 0 for t < 0; unit_phase gives +0
+        g = make_grid(2, 8.0, 32)
+        ref = np.exp(1j * -10.0 * spectral._ksq(g))
+        assert np.signbit(ref.imag.flat[0])
+        ref.imag.flat[0] = 0.0
+        assert same_bits(free_multiplier(g, -10.0), ref)
+
+
 def reference_strang_step(a, kin, phase=None):
     """Out-of-place form of the Strang step, one temporary per operation."""
     if phase is None:
@@ -406,7 +450,8 @@ def kernel_input(n, complex_valued):
 
 
 def broadcast_sinc_matrix(g, eps):
-    """_sinc_matrix with E = coarse (x) fine formed by one 3-D broadcast."""
+    """_sinc_matrix with its power tables formed by the complex exp and
+    E = coarse (x) fine by one 3-D broadcast over every row."""
     N = g.N
     x = g.axis()
     theta = (np.pi / g.L) * (eps * x + g.L)
@@ -446,16 +491,17 @@ class TestSincKernel:
         np.testing.assert_array_equal(np.flatnonzero(~escaped), lo + np.arange(len(block)))
         assert np.abs(block.sum(axis=1) - 1.0).max() <= 1e-13
 
-    @pytest.mark.parametrize("eps", KERNEL_EPS + (0.5, 3.0))
+    @pytest.mark.parametrize("eps", KERNEL_EPS + (0.5, 3.0, 1 / 0.75, 0.3))
     @pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
     def test_matches_broadcast_build(self, N, eps):
-        # the block built column block by column block equals the in-box
-        # rows of the one 3-D broadcast, whose escaped rows are exactly zero
+        # the block built column block by column block from unit_phase tables
+        # equals, bit for bit, the in-box rows of the one 3-D broadcast of
+        # complex-exp tables, whose escaped rows are exactly zero
         g = make_grid(1, 16.0, N)
         block, lo = spectral._sinc_matrix(g, eps)
         full = broadcast_sinc_matrix(g, eps)
         rows = slice(lo, lo + len(block))
-        np.testing.assert_array_equal(block, full[rows])
+        assert same_bits(block, full[rows])
         assert not full[:lo].any() and not full[rows.stop:].any()
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
@@ -562,6 +608,26 @@ class TestShellMass:
             spectral.check_support(vals, g, 1e-8, "probe")
         with pytest.raises(PreconditionError, match="not finite"):
             rescale_field(vals, g, 1.5)
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("where", [(8, 8), (0, 3)], ids=["center", "shell"])
+    def test_huge_finite_sample(self, where, complex_valued):
+        # 1e200 squares past float64: the fraction comes from the samples
+        # divided by their max modulus, with no overflow warning
+        g = make_grid(2, 8.0, 16)
+        vals = gaussian_field(g).values.real.copy()
+        vals[where] = 1e200
+        if complex_valued:
+            vals = vals * np.exp(0.3j)
+        frac = shell_mass_fraction(vals, g)
+        assert frac == shell_mass_fraction(vals / np.abs(vals).max(), g)
+        if where == (8, 8):
+            assert frac < 1e-300
+            spectral.check_support(vals, g, 1e-8, "probe")
+        else:
+            assert frac == pytest.approx(1.0, abs=1e-15)
+            with pytest.raises(SupportEscapeError):
+                rescale_field(vals, g, 1.5)
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3])
