@@ -220,6 +220,9 @@ def _grid_from_config(cfg: ExperimentConfig):
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
+    store = cfg.get_str("run", "store", default="none")
+    if store not in ("final", "none"):
+        raise ConfigError(f"unknown store {store!r}: expected final or none")
     base_dir = Path(args.config).parent
     grid = _grid_from_config(cfg)
     u0 = _load_initial(cfg, grid, base_dir)
@@ -233,7 +236,8 @@ def cmd_simulate(args) -> int:
     bundle = ResultBundle(out_dir=args.out, command="simulate",
                           config_hash=cfg.config_hash())
     if method == "split-step":
-        rep = split_step_evolve(u0, V, interval=(t0, t1), dt=dt, pairs=pairs)
+        rep = split_step_evolve(u0, V, interval=(t0, t1), dt=dt, pairs=pairs,
+                                keep_states=False)
     elif method == "global":
         r = cfg.get_exponent("run", "r", required=True)
         s = cfg.get_exponent("run", "s", required=True)
@@ -242,13 +246,11 @@ def cmd_simulate(args) -> int:
         if tau is None:
             tau = calibrate_tau([V], grid, dt=max(dt, (t1 - t0) / 100),
                                 interval=(t0, min(t1, t0 + 1.0)), r=r, s=s)
-        rep = solve_global(u0, None, V, (t0, t1), r, s, tau, dt, tol=tol, pairs=pairs)
+        rep = solve_global(u0, None, V, (t0, t1), r, s, tau, dt, tol=tol, pairs=pairs,
+                           keep_states=False)
     else:
         raise ConfigError(f"unknown method {method!r}")
-    rows = [
-        (float(t), float(e))
-        for t, e in zip(rep.trajectory.times, rep.trajectory.energy_log)
-    ]
+    rows = [(float(t), float(e)) for t, e in zip(rep.times, rep.energy_log)]
     bundle.write_csv("energy.csv", ("t", "l2_norm"), rows)
     if rep.partition is not None:
         bundle.write_csv(
@@ -262,7 +264,7 @@ def cmd_simulate(args) -> int:
                 )
             ],
         )
-    if cfg.get_str("run", "store", default="none") == "final":
+    if store == "final":
         bundle.write_snapshot("final.strz", rep.trajectory.states[-1])
     bundle.summary.update(rep.to_json_dict())
     path = bundle.finalize()

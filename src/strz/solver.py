@@ -133,9 +133,13 @@ def _source_at(F: SourceLike, t: float, grid: Grid) -> Optional[np.ndarray]:
 
 @dataclass
 class SolveReport:
-    """Everything observable about one evolution run."""
+    """Everything observable about one evolution run.  times and energy_log
+    are the logged times and L^2 norms at the kept indices; trajectory holds
+    the states kept there, or only the final one when states were not kept."""
 
     trajectory: Trajectory
+    times: np.ndarray
+    energy_log: np.ndarray
     energy_drift: float
     contraction_factors: List[List[float]] = dataclass_field(default_factory=list)
     partition: Optional[PartitionResult] = None
@@ -152,8 +156,8 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         d = {
-            "samples": len(self.trajectory.times),
-            "t_final": float(self.trajectory.times[-1]),
+            "samples": len(self.times),
+            "t_final": float(self.times[-1]),
             "energy_drift": self.energy_drift,
             "pieces": self.pieces,
             "iterations": list(self.iterations),
@@ -183,15 +187,17 @@ def _check_buffers(fields: float, grid: Grid) -> None:
 
 class _Recorder:
     """The report path of both solvers, fed the m + 1 samples of a run one at a
-    time.  Validates the pairs; keeps every store_every-th state plus the last
-    (by default about 256, thinned further so the kept states stay within
-    about STORE_BUDGET bytes), refusing before the first step to keep more
-    than physical memory holds; logs each sample's L^q norm for q = 2 (the
-    energy log) and each q of the pairs; and builds the SolveReport from them."""
+    time.  Validates the pairs; picks the kept indices, every store_every-th
+    sample plus the last (by default about 256, thinned further so that their
+    states fit in about STORE_BUDGET bytes); logs each sample's L^q
+    norm for q = 2 (the energy log) and each q of the pairs; and builds the
+    SolveReport from them.  It copies the state of every kept index, or with
+    keep_states False only the final state, and refuses before the first
+    step to copy more than physical memory holds."""
 
     def __init__(self, grid: Grid, m: int,
                  pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]],
-                 store_every: Optional[int]):
+                 store_every: Optional[int], keep_states: bool = True):
         self.pair_list = [admissible_pair(p, q, grid.n) for p, q in pairs or []]
         if store_every is None:
             store_every = max(1, math.ceil(m / 256),
@@ -199,7 +205,8 @@ class _Recorder:
         elif store_every < 1:
             raise PreconditionError(f"store_every must be at least 1, got {store_every}")
         self.kept = np.union1d(np.arange(0, m + 1, store_every), m)
-        _check_buffers(len(self.kept), grid)
+        self.copied = self.kept if keep_states else self.kept[-1:]
+        _check_buffers(len(self.copied), grid)
         self.grid, self.j = grid, 0
         self.times = np.empty(m + 1)
         self.norms = {q: np.empty(m + 1) for q in {TWO} | {q for _, q in self.pair_list}}
@@ -210,7 +217,7 @@ class _Recorder:
         self.times[j] = t
         for q, norm in lq_norm_table(values, self.grid, self.norms).items():
             self.norms[q][j] = norm
-        if j == self.kept[len(self.stored)]:
+        if j == self.copied[len(self.stored)]:
             self.stored.append(ComplexField(self.grid, values))
         self.j += 1
 
@@ -220,10 +227,11 @@ class _Recorder:
         drift = float(np.abs(energies - e0).max() / e0) if e0 > 0 else 0.0
         ratios = {(p, q): time_lp(self.norms[q], self.times, p) / e0 if e0 > 0 else math.inf
                   for p, q in self.pair_list}
-        traj = Trajectory(times=self.times[self.kept], states=self.stored,
-                          energy_log=energies[self.kept])
-        return SolveReport(trajectory=traj, energy_drift=drift, strichartz_ratios=ratios,
-                           **fields)
+        traj = Trajectory(times=self.times[self.copied], states=self.stored,
+                          energy_log=energies[self.copied])
+        return SolveReport(trajectory=traj, times=self.times[self.kept],
+                           energy_log=energies[self.kept], energy_drift=drift,
+                           strichartz_ratios=ratios, **fields)
 
 
 def split_step_evolve(
@@ -235,15 +243,21 @@ def split_step_evolve(
     store_every: Optional[int] = None,
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
     step_probe: Optional[Callable[[float, np.ndarray], None]] = None,
+    *,
+    keep_states: bool = True,
 ) -> SolveReport:
     """Strang splitting: half potential phase exp(i V(t_mid) dt/2), exact
     free step, half phase again; sources enter through a midpoint Duhamel
     correction.  Second order in dt; exactly unitary for F = 0, real V.
+
+    The report's trajectory holds the states at the kept indices (see
+    store_every), or with keep_states False only the final state; its times
+    and energy_log cover every kept index either way.
     """
     grid = u0.grid
     times, dt_eff = time_lattice(interval, dt)
     m = len(times) - 1
-    rec = _Recorder(grid, m, pairs, store_every)
+    rec = _Recorder(grid, m, pairs, store_every, keep_states)
     sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
     kin_half = free_multiplier(grid, dt_eff / 2.0)
@@ -373,13 +387,17 @@ def solve_global(
     tol: float = 1e-8,
     pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]] = None,
     store_every: Optional[int] = None,
+    *,
+    keep_states: bool = True,
 ) -> SolveReport:
     """Partition-and-chain solve: split the interval into pieces whose mixed
     potential norm is below tau, run the Duhamel iteration piece by piece
     feeding terminal states forward, and report contraction data plus the
-    chained constant bound k (1 + 2 c_hat)^k with c_hat = 1 / (2 tau)."""
+    chained constant bound k (1 + 2 c_hat)^k with c_hat = 1 / (2 tau).
+    States are kept as in split_step_evolve, and keep_states False keeps
+    only the final one."""
     part = partition_interval(V, r, s, interval, tau, dt, grid=u0.grid)
-    rec = _Recorder(u0.grid, part.slice_count, pairs, store_every)
+    rec = _Recorder(u0.grid, part.slice_count, pairs, store_every, keep_states)
     factors: List[List[float]] = []
     iterations: List[int] = []
     residuals: List[float] = []

@@ -1,4 +1,6 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +26,11 @@ from strz.potentials import (
     StaticPotential,
     SumPotential,
     ZeroPotential,
+    real_profile,
 )
-from strz.snapshot import write_snapshot
-from strz.spectral import make_grid
+from strz.snapshot import read_snapshot, write_snapshot
+from strz.solver import solve_global, split_step_evolve
+from strz.spectral import gaussian_field, make_grid
 
 
 class TestExperimentConfig:
@@ -325,6 +329,75 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["split-step", "global"])
+    def test_unknown_store_rejected_before_any_solve(self, tmp_path, capsys, method):
+        cfg = self.make_config(tmp_path, method=method)
+        cfg.write_text(cfg.read_text() + "store = fnal\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "store" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCliSimulateFinalState:
+    """strz simulate copies only the final state, and its files still hold
+    what a default-stride API run of the same config reports."""
+
+    grid = make_grid(2, 10.0, 64)
+    field_bytes = 64**2 * 16
+    pairs = [("inf", 2), (4, 4)]
+
+    def make_config(self, tmp_path, method):
+        u0 = gaussian_field(self.grid, sigma=1.0)
+        write_snapshot(real_profile(self.grid, -0.5 * u0.values.real), tmp_path / "W.strz")
+        lines = [
+            "[grid]", "n = 2", "l = 10.0", "n_points = 64", "",
+            "[initial]", "kind = gaussian", "sigma = 1.0", "",
+            "[potential]", "kind = static", "profile = W.strz", "",
+            # 401 samples: the default stride 2 keeps 201 of them
+            "[run]", f"method = {method}", "t0 = 0", "t1 = 2.0", "dt = 0.005",
+            "r = 2", "s = 2", "tau = 0.3", "pairs = inf,2;4,4", "store = final",
+        ]
+        (tmp_path / "sim.cfg").write_text("\n".join(lines) + "\n")
+        return tmp_path / "sim.cfg"
+
+    def api_run(self, method):
+        u0 = gaussian_field(self.grid, sigma=1.0)
+        V = StaticPotential(real_profile(self.grid, -0.5 * u0.values.real))
+        if method == "split-step":
+            return split_step_evolve(u0, V, interval=(0.0, 2.0), dt=0.005, pairs=self.pairs)
+        return solve_global(u0, None, V, (0.0, 2.0), 2, 2, tau=0.3, dt=0.005,
+                            pairs=self.pairs)
+
+    @pytest.mark.parametrize("method", ["split-step", "global"])
+    def test_peak_memory_keeps_one_state(self, tmp_path, method):
+        # keeping the 201 states of the default stride peaks above 200 fields
+        cfg = self.make_config(tmp_path, method)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 100 * self.field_bytes, peak / self.field_bytes
+
+    @pytest.mark.parametrize("method", ["split-step", "global"])
+    def test_files_match_default_api_run(self, tmp_path, method):
+        cfg = self.make_config(tmp_path, method)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rep = self.api_run(method)
+        traj = rep.trajectory
+        assert len(traj.states) == 201
+        with open(out / "energy.csv", newline="") as fh:
+            rows = [(float(r["t"]), float(r["l2_norm"])) for r in csv.DictReader(fh)]
+        assert rows == list(zip(traj.times.tolist(), traj.energy_log.tolist()))
+        assert json.loads((out / "summary.json").read_text())["samples"] == 201
+        np.testing.assert_array_equal(read_snapshot(out / "final.strz").values,
+                                      traj.states[-1].values)
 
 
 class TestCliPartition:

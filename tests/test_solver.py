@@ -868,6 +868,51 @@ class TestStoreBudget:
         assert (len(rec.kept) - 1) * grid.npoints * 16 <= solver.STORE_BUDGET
 
 
+class TestKeepStates:
+    """keep_states=False copies only the final state; everything else in the
+    report equals the default run's."""
+
+    grid = make_grid(2, 10.0, 16)
+    interval = (0.0, 2.6)  # 260 steps of dt = 0.01: the default stride 2 keeps 131
+    pairs = [("inf", 2), (4, 4)]
+
+    def runs(self, **kw):
+        u0 = gaussian_field(self.grid, sigma=1.0)
+        V = StaticPotential(real_profile(self.grid, -0.5 * u0.values.real))
+        ss = split_step_evolve(u0, V, interval=self.interval, dt=0.01, pairs=self.pairs, **kw)
+        glob = solve_global(u0, None, V, self.interval, 2, 2, tau=0.3, dt=0.01,
+                            pairs=self.pairs, **kw)
+        assert glob.pieces > 1
+        return ss, glob
+
+    def test_matches_default_run(self):
+        for lean, full in zip(self.runs(keep_states=False), self.runs()):
+            assert len(full.trajectory.states) == 131
+            assert lean.energy_drift == full.energy_drift
+            assert lean.strichartz_ratios == full.strichartz_ratios
+            for rep in (lean, full):
+                np.testing.assert_array_equal(rep.times, full.trajectory.times)
+                np.testing.assert_array_equal(rep.energy_log, full.trajectory.energy_log)
+            assert len(lean.trajectory.states) == 1
+            assert lean.trajectory.times.tolist() == [self.interval[1]]
+            assert lean.trajectory.energy_log.tolist() == [full.energy_log[-1]]
+            np.testing.assert_array_equal(lean.trajectory.states[0].values,
+                                          full.trajectory.states[-1].values)
+            assert lean.to_json_dict() == full.to_json_dict()
+
+    def test_memory_check_counts_one_state(self, monkeypatch):
+        # memory for three states: every state of a store_every=1 run does not fit
+        monkeypatch.setattr(solver, "PHYSICAL_MEMORY", 3 * self.grid.npoints * 16)
+        u0 = gaussian_field(self.grid, sigma=1.0)
+        with pytest.raises(PreconditionError, match="GiB"):
+            split_step_evolve(u0, ZeroPotential(), interval=self.interval, dt=0.01,
+                              store_every=1)
+        rep = split_step_evolve(u0, ZeroPotential(), interval=self.interval, dt=0.01,
+                                store_every=1, keep_states=False)
+        assert len(rep.times) == 261
+        assert len(rep.trajectory.states) == 1
+
+
 class TestCalibrateTau:
     def test_zero_reference_returns_cap(self, standing1d):
         grid, _, _ = standing1d
