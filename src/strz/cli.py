@@ -223,6 +223,14 @@ def cmd_simulate(args) -> int:
     store = cfg.get_str("run", "store", default="none")
     if store not in ("final", "none"):
         raise ConfigError(f"unknown store {store!r}: expected final or none")
+    method = cfg.get_str("run", "method", default="split-step")
+    if method == "global":
+        r = cfg.get_exponent("run", "r", required=True)
+        s = cfg.get_exponent("run", "s", required=True)
+        tau = cfg.get_float("run", "tau", default=None)
+        tol = cfg.get_float("run", "tol", default=1e-8)
+    elif method != "split-step":
+        raise ConfigError(f"unknown method {method!r}")
     base_dir = Path(args.config).parent
     grid = _grid_from_config(cfg)
     u0 = _load_initial(cfg, grid, base_dir)
@@ -230,7 +238,6 @@ def cmd_simulate(args) -> int:
     t0 = cfg.get_float("run", "t0", default=0.0)
     t1 = cfg.get_float("run", "t1", required=True)
     dt = cfg.get_float("run", "dt", required=True)
-    method = cfg.get_str("run", "method", default="split-step")
     pairs_text = cfg.get_str("run", "pairs", default=None)
     pairs = parse_pairs(pairs_text) if pairs_text else []
     bundle = ResultBundle(out_dir=args.out, command="simulate",
@@ -238,18 +245,12 @@ def cmd_simulate(args) -> int:
     if method == "split-step":
         rep = split_step_evolve(u0, V, interval=(t0, t1), dt=dt, pairs=pairs,
                                 keep_states=False)
-    elif method == "global":
-        r = cfg.get_exponent("run", "r", required=True)
-        s = cfg.get_exponent("run", "s", required=True)
-        tau = cfg.get_float("run", "tau", default=None)
-        tol = cfg.get_float("run", "tol", default=1e-8)
+    else:
         if tau is None:
             tau = calibrate_tau([V], grid, dt=max(dt, (t1 - t0) / 100),
                                 interval=(t0, min(t1, t0 + 1.0)), r=r, s=s)
         rep = solve_global(u0, None, V, (t0, t1), r, s, tau, dt, tol=tol, pairs=pairs,
                            keep_states=False)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
     rows = [(float(t), float(e)) for t, e in zip(rep.times, rep.energy_log)]
     bundle.write_csv("energy.csv", ("t", "l2_norm"), rows)
     if rep.partition is not None:

@@ -340,6 +340,22 @@ class TestCliSimulate:
         assert "store" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, bad, word", [
+        ("globl", None, "method"),
+        ("global", ("s = 2", "s = 1/0"), "s"),
+        ("global", ("tau = 1.5", "tau = soon"), "tau"),
+    ], ids=["method", "s", "tau"])
+    def test_bad_run_section_leaves_no_output_directory(self, tmp_path, capsys, method,
+                                                         bad, word):
+        cfg = self.make_config(tmp_path, method=method)
+        if bad is not None:
+            cfg.write_text(cfg.read_text().replace(*bad))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliSimulateFinalState:
     """strz simulate copies only the final state, and its files still hold

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -227,10 +228,12 @@ class TestSplitStep:
         # and one rescale per step of a moving potential
         grid, W, u0 = standing2d
         calls = {"fft": 0, "rescale_field": 0, "evaluate": 0}
+        threads = set()
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                threads.add(threading.get_ident())
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -245,6 +248,17 @@ class TestSplitStep:
         assert calls["fft"] == 2 * steps + calls["rescale_field"]
         assert calls["rescale_field"] == steps
         assert calls["evaluate"] == steps
+        # a 64^3 step (PARALLEL_MIN_POINTS) may split between two threads,
+        # yet makes its two fftn/ifftn calls on the calling thread, where
+        # the benchmark's single-threaded tracer counts them
+        big = make_grid(3, 8.0, 64)
+        bump = gaussian_field(big, sigma=1.0)
+        calls["fft"] = 0
+        threads.clear()
+        split_step_evolve(bump, StaticPotential(real_profile(big, -0.5 * bump.values.real)),
+                          interval=(0.0, 0.05), dt=0.01)
+        assert calls["fft"] == 2 * 5
+        assert threads == {threading.get_ident()}
 
 
 class TestZNorm:

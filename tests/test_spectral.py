@@ -1,4 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +250,150 @@ class TestStrangStep:
         finally:
             tracemalloc.stop()
         assert peak <= 0.05 * a.nbytes
+
+
+def serial_strang_step(a, kin, phase=None):
+    """strang_step's serial arithmetic: the same in-place products around
+    one np.fft.fftn and one np.fft.ifftn of the whole array."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    if phase is None:
+        np.copyto(out, a)
+    else:
+        np.multiply(phase, a, out=out)
+    np.fft.fftn(out, out=out)
+    np.multiply(kin, out, out=out)
+    np.fft.ifftn(out, out=out)
+    if phase is not None:
+        np.multiply(phase, out, out=out)
+    return out
+
+
+def _step_in_child(a, kin, phase, expected, parent_worker):
+    """Target of a forked child: its own worker, the parent's bits."""
+    assert spectral._worker(os.getpid()) is not parent_worker
+    assert same_bits(strang_step(a, kin, phase), expected)
+
+
+SPLIT_GRIDS = [(3, 64), (2, 512)]  # 2^18 points each: PARALLEL_MIN_POINTS
+
+
+class TestSplitStrangStep:
+    """Grids of PARALLEL_MIN_POINTS points and up step in two threads when
+    two or more CPUs are allowed, with the serial bits either way."""
+
+    @pytest.fixture
+    def worker_ffts(self, monkeypatch):
+        """Records every one-axis FFT made off the calling thread."""
+        main = threading.get_ident()
+        calls = []
+        for name in ("fft", "ifft"):
+            def recorded(*args, _fn=getattr(np.fft, name), **kwargs):
+                if threading.get_ident() != main:
+                    calls.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_bit_identical_to_serial(self, n, N, with_phase, worker_ffts):
+        a, kin, phase = strang_operands(n, N, with_phase)
+        assert a.size == spectral.PARALLEL_MIN_POINTS and not a.flags.writeable
+        before = a.copy()
+        got = strang_step(a, kin, phase)
+        assert same_bits(got, serial_strang_step(a, kin, phase))
+        assert same_bits(a, before)
+        assert bool(worker_ffts) == spectral._two_cpus()
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_into_a_fresh_out(self, n, N, with_phase):
+        a, kin, phase = strang_operands(n, N, with_phase)
+        out = np.empty_like(a)
+        assert strang_step(a, kin, phase, out=out) is out
+        assert same_bits(out, serial_strang_step(a, kin, phase))
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    @pytest.mark.parametrize("with_phase", [False, True])
+    def test_into_a_row_of_a_stack(self, n, N, with_phase):
+        # the Duhamel sweep's strang_step(out[j], kin, out=out[j + 1])
+        a, kin, phase = strang_operands(n, N, with_phase)
+        stack = np.zeros((3,) + a.shape, dtype=np.complex128)
+        stack[0] = a
+        row = stack[1]
+        assert strang_step(stack[0], kin, phase, out=row) is row
+        assert same_bits(stack[1], serial_strang_step(a, kin, phase))
+        assert same_bits(stack[0], a)
+        assert not stack[2].any()
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    def test_one_cpu_takes_the_serial_path(self, n, N, monkeypatch, worker_ffts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        a, kin, phase = strang_operands(n, N, True)
+        assert same_bits(strang_step(a, kin, phase), serial_strang_step(a, kin, phase))
+        assert worker_ffts == []
+
+    def test_small_grids_import_no_executor(self):
+        # concurrent.futures loads logging, about 0.6 MB of peak RSS that a
+        # process stepping only grids below PARALLEL_MIN_POINTS does not pay
+        code = ("import sys, numpy as np\n"
+                "from strz.spectral import free_multiplier, make_grid, strang_step\n"
+                "g = make_grid(2, 8.0, 256)\n"
+                "strang_step(np.ones(g.shape), free_multiplier(g, 0.01))\n"
+                "sys.exit('concurrent.futures' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("raiser", ["worker", "caller"])
+    def test_error_reaches_caller_after_both_halves_stop(self, monkeypatch, raiser):
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+        a, kin, phase = strang_operands(2, 512, True)
+        main = threading.get_ident()
+        log = []  # the other half's slow FFT: "start", then "stop" once done
+
+        def half(fn, mine):
+            def wrapper(*args, **kwargs):
+                if mine != (threading.get_ident() == main):
+                    return fn(*args, **kwargs)  # not the stage-A half under test
+                if raiser == ("caller" if mine else "worker"):
+                    raise RuntimeError(f"{raiser} half")
+                log.append("start")
+                time.sleep(0.1)
+                result = fn(*args, **kwargs)
+                log.append("stop")
+                return result
+
+            return wrapper
+
+        # in stage A this thread makes the fftn call, the worker the fft calls
+        monkeypatch.setattr(np.fft, "fftn", half(np.fft.fftn, mine=True))
+        monkeypatch.setattr(np.fft, "fft", half(np.fft.fft, mine=False))
+        with pytest.raises(RuntimeError, match=f"{raiser} half"):
+            strang_step(a, kin, phase)
+        assert log == ["start", "stop"]
+
+    def test_forked_child_gets_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+        a, kin, phase = strang_operands(3, 64, True)
+        expected = strang_step(a, kin, phase)  # starts this process's worker
+        parent_worker = spectral._worker(os.getpid())
+        child = multiprocessing.get_context("fork").Process(
+            target=_step_in_child, args=(a, kin, phase, expected, parent_worker))
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork() in a process with threads; the
+            # child touches only its own worker
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's step did not finish")
+        assert child.exitcode == 0
+        assert same_bits(strang_step(a, kin, phase), expected)
 
 
 class TestLqNorm:
