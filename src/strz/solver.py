@@ -22,17 +22,28 @@ out[j+1] = K(out[j] + b_j) + b_{j+1} with b = i(h/2)(V v - F), from
 out[0] = u0.  One sweep costs O(steps) FFTs; with b = 0 it is the free evolution.
 A sweep writes each row in place, through one grid buffer besides its output
 stack, so it allocates nothing per row.
+
+The sweeps of a piece share two stacks, each sweep written over the one two
+before it.  On grids of at least WAVEFRONT_MIN_POINTS = 2^13 points (1D
+N = 8192, 128^2, 32^3 and up), in a process allowed two or more CPUs,
+spectral's one extra worker thread makes the odd sweeps while the caller
+makes the even ones, each sweep one row behind the one before it
+(_SweepChain).  Results are bit-identical either way, `taskset -c 0` keeps
+everything on one CPU, and there is no option or environment variable for it.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import spectral
 from .errors import CalibrationError, NonContractionError, PartitionError, PreconditionError
 from .exponents import TWO, Exponent, ExponentLike, admissible_pair, as_exponent
 from .potentials import (
@@ -53,7 +64,6 @@ from .spectral import (
     gaussian_field,
     lq_norm,
     lq_norm_table,
-    lq_norms,
     strang_step,
     time_lp,
     unit_phase,
@@ -66,6 +76,13 @@ CALIBRATION_FACTOR = 0.5  # largest contraction factor a calibrated tau allows
 CALIBRATION_TOL = 1e-6  # Duhamel stopping tolerance of the calibration runs
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 STORE_BUDGET = 64 * 2**20  # bytes of states a run with the default stride keeps
+# duhamel_iterate runs its sweeps as a two-thread wavefront on grids of at
+# least this many points.  Per piece (median of 7 alternating trials, 2-vCPU
+# host) against the serial sweeps, every grid of 2^12 points was slower in
+# 7 of 7 (1D N=4096 1.64x, 64^2 1.62x, 16^3 1.66x) and every larger one
+# faster in 7 of 7 (1D N=8192 0.80x, 128^2 0.71x, 32^3 0.62x, 256^2 0.58x;
+# 64^3 0.80x of the split strang_step).
+WAVEFRONT_MIN_POINTS = 2**13
 
 
 def endpoint_q(n: int) -> Exponent:
@@ -76,12 +93,10 @@ def endpoint_q(n: int) -> Exponent:
     return Exponent(DEFAULT_Q_FALLBACK)
 
 
-def _stack_z_norm(times: np.ndarray, stack: np.ndarray, grid: Grid) -> float:
-    """Z-norm of a stacked (m+1,) + grid.shape piece trajectory: the max of
-    its L^inf_t L^2 and L^2_t L^qe sample norms, from one norm-table call."""
-    qe = endpoint_q(grid.n)
-    norms = lq_norm_table(stack, grid, (TWO, qe))
-    return max(time_lp(norms[TWO], times, "inf"), time_lp(norms[qe], times, 2))
+def _z_norm(times: np.ndarray, norms: Dict[Exponent, np.ndarray], grid: Grid) -> float:
+    """Z-norm of a piece trajectory from its per-sample L^2 and L^qe norms:
+    the max of its L^inf_t L^2 and L^2_t L^qe norms."""
+    return max(time_lp(norms[TWO], times, "inf"), time_lp(norms[endpoint_q(grid.n)], times, 2))
 
 
 class PotentialSampler:
@@ -288,6 +303,175 @@ class DuhamelResult:
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
 
 
+class _SweepChain:
+    """The Picard sweeps of one Duhamel piece: S_0 is the free evolution,
+    S_{k+1} = Phi(S_k), and the chain ends with the residual sweep S_{K+1}
+    of the last iterate S_K.  S_{k+1} runs whatever the decision after S_k
+    (as the next iterate or as the residual sweep), so that decision only
+    says whether S_{k+2} runs.  S_k is written into stacks[k % 2], over
+    S_{k-2}; row 0 of both is u0 and never written again.
+
+    Serially, run(0, 1) makes every sweep and takes each difference's
+    Z-norm from one norm table of the whole stack.  As a wavefront, run(0, 2)
+    here and run(1, 2) on spectral's worker thread make the even and the odd
+    sweeps at the same time: row j of S_k is made only once S_{k-1} has
+    finished row j, so it reads finished rows of S_{k-1} and overwrites rows
+    of S_{k-2} that S_{k-1} no longer reads.  Each thread forms S_{k-1}[j] -
+    S_k[j] in its own buffer and logs its norms as a stack of one row, bit
+    for bit a row of the stack's norm table.  Decisions are taken strictly
+    in sweep order, each after the one before it is published."""
+
+    def __init__(self, u0: np.ndarray, times: np.ndarray, h: float,
+                 vvals: List[np.ndarray], fvals: List[Optional[np.ndarray]], grid: Grid,
+                 tol: float, maxit: int, wavefront: bool):
+        self.times, self.vvals, self.fvals, self.grid = times, vvals, fvals, grid
+        self.tol, self.maxit, self.wavefront = tol, maxit, wavefront
+        self.kin = free_multiplier(grid, h)
+        self.half = h / 2.0  # trapezoid weight
+        self.qs = (TWO, endpoint_q(grid.n))
+        self.stacks = [np.empty((len(times),) + grid.shape, dtype=np.complex128)
+                       for _ in range(2)]
+        for stack in self.stacks:
+            stack[0] = u0
+        self.z: Dict[int, float] = {}  # Z-norm of S_0, then of S_{k-1} - S_k
+        self.go: Dict[int, bool] = {}  # decision after S_k: whether S_{k+2} runs
+        self.rows: Dict[int, int] = {}  # rows of S_k finished (wavefront)
+        self.factors: List[float] = []
+        self.iterations = 0
+        self.failed = False
+        self.cond = threading.Condition()
+
+    def run(self, first: int, stride: int, one_axis: bool = False) -> None:
+        """Make sweeps first, first + stride, ... for as long as the decisions
+        call for them, deciding after each.  Steps stay on this thread (with
+        one_axis, in one-axis transforms); an error tells the other thread
+        to stop before it is raised."""
+        try:
+            buf = np.empty(self.grid.shape, dtype=np.complex128)  # b_j, then out[j] + b_j
+            if self.wavefront:
+                diff = np.empty((1,) + self.grid.shape, dtype=np.complex128)
+                step = partial(spectral._serial_strang_step, kin=self.kin, phase=None,
+                               one_axis=one_axis)
+            else:
+                diff, step = None, partial(strang_step, kin=self.kin)
+            k = first
+            while k < 2 or self.go[k - 2]:  # a decision of this thread's own
+                if not self._sweep(k, buf, diff, step):
+                    return  # the other thread failed
+                if k >= 1 and not self._decided(k - 1):
+                    return  # S_k was the residual sweep
+                go = k == 0 or self._decide(k)
+                if not go:
+                    self.iterations = k
+                self._publish(self.go, k, go)
+                k += stride
+        except BaseException:
+            with self.cond:
+                self.failed = True
+                self.cond.notify_all()
+            raise
+
+    def _sweep(self, k: int, buf: np.ndarray, diff: Optional[np.ndarray], step) -> bool:
+        """S_k by the recursion of the module docstring from S_{k-1} (b = 0
+        for S_0, the free evolution), then z[k].  False when the other
+        thread failed first."""
+        m = len(self.times) - 1
+        out = self.stacks[k % 2]
+        v = self.stacks[(k - 1) % 2] if k else None
+        if self.wavefront:
+            norms = {q: np.empty(m + 1) for q in self.qs}
+            self._log_row(k, 0, diff, norms)
+        if v is not None:
+            self._form_b(0, v, buf)
+        for j in range(m):
+            if self.wavefront and k and not self._wait(lambda: self.rows.get(k - 1, 0) > j):
+                return False
+            if v is None:
+                step(out[j], out=out[j + 1])
+            else:
+                np.add(out[j], buf, out=buf)
+                step(buf, out=out[j + 1])
+                self._form_b(j + 1, v, buf)
+                out[j + 1] += buf
+            if self.wavefront:
+                self._log_row(k, j + 1, diff, norms)
+                self._publish(self.rows, k, j + 1)
+        if not self.wavefront:
+            norms = self._stack_norms(k)
+        self.z[k] = _z_norm(self.times, norms, self.grid)
+        return True
+
+    def _form_b(self, j: int, v: np.ndarray, buf: np.ndarray) -> None:
+        """b_j = i(h/2)(V_j v_j - F_j), formed in buf."""
+        np.multiply(self.vvals[j], v[j], out=buf)
+        if self.fvals[j] is not None:
+            np.subtract(buf, self.fvals[j], out=buf)
+        np.multiply(buf, 1j * self.half, out=buf)
+
+    def _log_row(self, k: int, j: int, diff: np.ndarray,
+                 norms: Dict[Exponent, np.ndarray]) -> None:
+        """Norms of row j of S_{k-1} - S_k, formed in diff (of S_0 itself
+        for k = 0), into norms[q][j]."""
+        row = self.stacks[k % 2][j:j + 1]
+        if k:
+            np.subtract(self.stacks[(k - 1) % 2][j:j + 1], row, out=diff)
+            row = diff
+        for q, norm in lq_norm_table(row, self.grid, norms).items():
+            norms[q][j] = norm[0]
+
+    def _stack_norms(self, k: int) -> Dict[Exponent, np.ndarray]:
+        """Norm table of S_0, or of S_{k-1} - S_k formed over S_{k-1}; over
+        S_k instead (as S_k - S_{k-1}) when S_k is the residual sweep, which
+        must leave the iterate S_{k-1}."""
+        out = self.stacks[k % 2]
+        if not k:
+            return lq_norm_table(out, self.grid, self.qs)
+        v = self.stacks[(k - 1) % 2]
+        a, b = (v, out) if self.go[k - 1] else (out, v)
+        a -= b
+        table = lq_norm_table(a, self.grid, self.qs)
+        a[0] = b[0]  # u0 again, where the next sweep starts
+        return table
+
+    def _decide(self, k: int) -> bool:
+        """Whether S_{k+2} runs, from z[0..k]: after S_1, unless the first
+        increment is negligible against S_0; later, until an increment falls
+        below tol times the first, recording each contraction factor.
+        NonContractionError after sweep maxit."""
+        d = self.z[k]
+        if k == 1:
+            return d > 1e-14 * self.z[0]
+        prev = self.z[k - 1]
+        self.factors.append(d / prev if prev > 0 else 0.0)
+        if d <= self.tol * self.z[1]:
+            return False
+        if k >= self.maxit:
+            raise NonContractionError(
+                f"no contraction after {self.maxit} iterations "
+                f"(last factor {self.factors[-1]:.3f}); piece too large"
+            )
+        return True
+
+    def _decided(self, k: int) -> bool:
+        """The decision after S_k, once published; False once the other
+        thread has failed."""
+        return self._wait(lambda: k in self.go) and self.go[k]
+
+    def _wait(self, ready: Callable[[], bool]) -> bool:
+        """Wait until ready(); False once the other thread has failed."""
+        if not self.wavefront:
+            return True
+        with self.cond:
+            while not (self.failed or ready()):
+                self.cond.wait()
+            return not self.failed
+
+    def _publish(self, table: Dict[int, object], key: int, value: object) -> None:
+        with self.cond:
+            table[key] = value
+            self.cond.notify_all()
+
+
 def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: Interval,
                     dt: float, tol: float = 1e-8, maxit: int = 30) -> DuhamelResult:
     """Fixed point of Phi(v) = exp(it Lap) u0 - i Duhamel[F - V v] on a piece.
@@ -296,81 +480,43 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     differences falls below tol times the first increment.  Raises
     NonContractionError when maxit is hit, which signals the piece's mixed
     potential norm is too large.
+
+    On grids of at least WAVEFRONT_MIN_POINTS points, in a process allowed
+    two or more CPUs, the sweeps run as a two-thread wavefront (_SweepChain),
+    bit for bit the serial result.
     """
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
-    # v, Phi(v) and the states, checked before any sample_key call; then with
-    # the samples kept: half a field per real V sample, one per V key (per node
-    # when the key is None), and one field per node of a callable F
+    # the two sweep stacks and the states, checked before any sample_key call;
+    # then with the samples kept: half a field per real V sample, one per V key
+    # (per node when the key is None), and one field per node of a callable F
     _check_buffers(3 * (m + 1), grid)
     keys = [V.sample_key(t) for t in times.tolist()]
     samples = (keys.count(None) + len(set(keys) - {None})) / 2 + (m + 1) * callable(F)
     _check_buffers(3 * (m + 1) + samples, grid)
     sampler = PotentialSampler(V, grid)
-    kin = free_multiplier(grid, dt_eff)
-    half = dt_eff / 2.0  # trapezoid weight
     vvals = [sampler.values_at(float(t)) for t in times]
     fvals = [_source_at(F, float(t), grid) for t in times]
+    # a wavefront holds two stacks and about eight grid fields (kin; per
+    # thread b_j, a difference row and half a field of norm temporary; numpy's
+    # own buffers), within the three stacks counted above once m + 1 > 8
+    wavefront = m >= 8 and grid.npoints >= WAVEFRONT_MIN_POINTS and spectral._two_cpus()
+    chain = _SweepChain(u0.values, times, dt_eff, vvals, fvals, grid, tol, maxit, wavefront)
+    if wavefront:
+        spectral._in_two_halves(lambda: chain.run(0, 2),
+                                lambda: chain.run(1, 2, one_axis=True))
+    else:
+        chain.run(0, 1)
 
-    buf = np.empty(grid.shape, dtype=np.complex128)  # b_j, then out[j] + b_j
-
-    def sweep(v: Optional[np.ndarray]) -> np.ndarray:
-        """Phi(v) by the recursion of the module docstring, each row written in
-        place; b = 0 when v is None, which makes it the free evolution."""
-        out = np.empty((m + 1,) + grid.shape, dtype=np.complex128)
-        out[0] = u0.values
-        if v is None:
-            for j in range(m):
-                strang_step(out[j], kin, out=out[j + 1])
-            return out
-        form_b(0, v)
-        for j in range(m):
-            np.add(out[j], buf, out=buf)
-            strang_step(buf, kin, out=out[j + 1])
-            form_b(j + 1, v)
-            out[j + 1] += buf
-        return out
-
-    def form_b(j: int, v: np.ndarray) -> None:
-        """b_j = i(h/2)(V_j v_j - F_j), formed in buf."""
-        np.multiply(vvals[j], v[j], out=buf)
-        if fvals[j] is not None:
-            np.subtract(buf, fvals[j], out=buf)
-        np.multiply(buf, 1j * half, out=buf)
-
-    def zdiff(a: np.ndarray, b: np.ndarray) -> float:
-        """Z-norm of a - b, formed in a's buffer: the caller drops a."""
-        a -= b
-        return _stack_z_norm(times, a, grid)
-
-    v = sweep(None)
-    scale = _stack_z_norm(times, v, grid)
-    v_next = sweep(v)
-    d_first = zdiff(v, v_next)
-    factors: List[float] = []
-    iterations = 1
-    v, v_prev_diff = v_next, d_first
-    if d_first > 1e-14 * scale:
-        while True:
-            v_next = sweep(v)
-            d = zdiff(v, v_next)
-            factors.append(d / v_prev_diff if v_prev_diff > 0 else 0.0)
-            iterations += 1
-            v, v_prev_diff = v_next, d
-            if d <= tol * d_first:
-                break
-            if iterations >= maxit:
-                raise NonContractionError(
-                    f"no contraction after {maxit} iterations "
-                    f"(last factor {factors[-1]:.3f}); piece too large"
-                )
-
-    res_abs = zdiff(sweep(v), v)
-    vnorm = _stack_z_norm(times, v, grid)
+    iterations, factors = chain.iterations, chain.factors
+    v, res_abs = chain.stacks[iterations % 2], chain.z[iterations + 1]
+    del chain  # drop the residual sweep's stack before the states are copied
+    norms = lq_norm_table(v, grid, (TWO, endpoint_q(grid.n)))
+    vnorm = _z_norm(times, norms, grid)
     residual = res_abs / vnorm if vnorm > 0 else res_abs
     states = [ComplexField(grid, v[j]) for j in range(m + 1)]
-    traj = Trajectory(times=times, states=states, energy_log=lq_norms(v, grid, 2))
+    traj = Trajectory(times=times, states=states, energy_log=norms[TWO])
     return DuhamelResult(trajectory=traj, factors=factors, iterations=iterations,
                          residual=residual)
 

@@ -13,7 +13,8 @@ strang_step uses one extra worker thread on grids of at least
 PARALLEL_MIN_POINTS = 2^18 points (64^3, 512^2 and up) when the process
 may run on two or more CPUs; results are bit-identical either way, and
 `taskset -c 0` runs it on one CPU.  There is no option or environment
-variable for it.
+variable for it.  The solver's Duhamel sweeps use the same thread on
+smaller grids too (solver.WAVEFRONT_MIN_POINTS).
 """
 from __future__ import annotations
 
@@ -221,16 +222,41 @@ def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = No
     if out.ndim >= 2 and out.size >= PARALLEL_MIN_POINTS and _two_cpus():
         _split_strang_step(a, kin, phase, out)
         return out
+    return _serial_strang_step(a, kin, phase, out, False)
+
+
+def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
+                        out: np.ndarray, one_axis: bool) -> np.ndarray:
+    """strang_step into out on this thread alone, whatever the size; with
+    one_axis, every transform is one-axis passes (_transform)."""
     if phase is None:
         np.copyto(out, a)
     else:
         np.multiply(phase, a, out=out)
-    np.fft.fftn(out, out=out)
-    np.multiply(kin, out, out=out)
-    np.fft.ifftn(out, out=out)
+    if one_axis:
+        _transform(out, None, False, True)
+        np.multiply(kin, out, out=out)
+        _transform(out, None, True, True)
+    else:  # the calls of every serial step, kept free of _transform's dispatch
+        np.fft.fftn(out, out=out)
+        np.multiply(kin, out, out=out)
+        np.fft.ifftn(out, out=out)
     if phase is not None:
         np.multiply(phase, out, out=out)
     return out
+
+
+def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
+               one_axis: bool) -> None:
+    """The fftn (ifftn) of o over axes (None: every axis), in place.  With
+    one_axis it is made of one-axis np.fft.fft (ifft) passes in fftn's
+    order, last axis first: the same pocketfft pass per axis, so bit for bit
+    the same, and no call of the fftn and ifftn a tracer patches."""
+    if one_axis:
+        for axis in reversed(range(o.ndim) if axes is None else axes):
+            (np.fft.ifft if inverse else np.fft.fft)(o, axis=axis, out=o)
+    else:
+        (np.fft.ifftn if inverse else np.fft.fftn)(o, axes=axes, out=o)
 
 
 def _two_cpus() -> bool:
@@ -288,11 +314,7 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
             np.copyto(o, a[half])
         else:
             np.multiply(phase[half], a[half], out=o)
-        if mine:
-            np.fft.fftn(o, axes=inner, out=o)
-        else:
-            for axis in reversed(inner):
-                np.fft.fft(o, axis=axis, out=o)
+        _transform(o, inner, False, not mine)
 
     def forward_cols(half):
         o = out[half]
@@ -300,12 +322,7 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
         np.multiply(kin[half], o, out=o)
 
     def backward_rows(half, mine):
-        o = out[half]
-        if mine:
-            np.fft.ifftn(o, axes=inner, out=o)
-        else:
-            for axis in reversed(inner):
-                np.fft.ifft(o, axis=axis, out=o)
+        _transform(out[half], inner, True, not mine)
 
     def backward_cols(half):
         o = out[half]
@@ -333,6 +350,10 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
     """Spatial L^q norms, for every q of qs, of complex or real floating
     samples by Riemann sum over the trailing grid.n axes: one state gives a
     scalar per q and a stacked (m+1,) + grid.shape array one norm per state.
+    Each norm of a stack is bit for bit that of its row alone as a stack of
+    one, so a stack may be normed row by row.  A state that is not a stack
+    may differ in the last bit for q other than 2 and inf: numpy takes a
+    scalar's root by its C pow and an array's by its vectorized loop.
 
     One modulus pass fills |u| into the one real buffer the kernel allocates,
     and every q reads it: q = inf first (the grid max modulus).  Then the
@@ -356,7 +377,16 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
                 table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
                 continue
             factors = 3 if float(q) == 6.0 else 2
-            total = np.einsum(",".join([sub] * factors) + "->...", *[sq] * factors)
+            spec = ",".join([sub] * factors) + "->..."
+            if factors == 2 and sq.ndim > grid.n:
+                # einsum sums two operands in buffer-sized chunks once a
+                # stack's rows exceed 8192 points; one call per row sums
+                # each whole, as for a stack of one
+                rows = sq.reshape((-1,) + grid.shape)
+                total = np.array([np.einsum(spec, r, r) for r in rows])
+                total = total.reshape(sq.shape[:-grid.n])
+            else:
+                total = np.einsum(spec, *[sq] * factors)
             table[q] = (total * grid.cell_volume) ** (1.0 / float(q))
     for i, q in enumerate(rest):
         if even or i:

@@ -1,5 +1,11 @@
+import math
+import multiprocessing
+import os
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from strz.errors import (
 )
 from strz.exponents import Exponent
 from strz.groundstate import default_weight, ground_pair, standing_wave_potential
-from strz import potentials, solver
+from strz import potentials, solver, spectral
 from strz.exponents import ScheduleKind, ScheduleParams
 from strz.potentials import (
     PatchedRescaledPotential,
@@ -43,6 +49,7 @@ from strz.spectral import (
     free_propagate,
     gaussian_field,
     lq_norm,
+    lq_norm_table,
     lq_norms,
     make_grid,
     strang_step,
@@ -71,6 +78,11 @@ def standing3d():
     gp = ground_pair(default_weight(grid, sigma=1.0))
     W, u0 = standing_wave_potential(gp)
     return grid, W, u0
+
+
+def stack_z_norm(times, stack, grid):
+    """The Z-norm of a stacked piece trajectory, from one norm-table call."""
+    return solver._z_norm(times, lq_norm_table(stack, grid, (2, endpoint_q(grid.n))), grid)
 
 
 def linf_l2_gap(traj_a, traj_b, scale):
@@ -274,10 +286,10 @@ class TestZNorm:
                                 store_every=1)
         traj = rep.trajectory
         stack = np.stack([s.values for s in traj.states])
-        zn = solver._stack_z_norm(traj.times, stack, grid)
+        zn = stack_z_norm(traj.times, stack, grid)
         assert zn > 0
         assert trajectory_mixed_norm(traj, "inf", 2) <= zn
-        assert solver._stack_z_norm(traj.times, np.zeros_like(stack), grid) == 0.0
+        assert stack_z_norm(traj.times, np.zeros_like(stack), grid) == 0.0
 
     def test_max_of_mixed_norms_and_stacked_form(self, standing2d):
         grid, W, _ = standing2d
@@ -286,7 +298,7 @@ class TestZNorm:
         traj = rep.trajectory
         # the Duhamel iteration's Z-norm, taken on its stacked piece array
         stack = np.stack([s.values for s in traj.states])
-        zn = solver._stack_z_norm(traj.times, stack, grid)
+        zn = stack_z_norm(traj.times, stack, grid)
         assert zn > 0
         assert zn == pytest.approx(max(trajectory_mixed_norm(traj, "inf", 2),
                                        trajectory_mixed_norm(traj, 2, endpoint_q(2))),
@@ -416,7 +428,7 @@ def reference_duhamel(u0, F, V, piece, dt, tol=1e-8, maxit=30):
         return out
 
     def z(a):
-        return solver._stack_z_norm(times, a, grid)
+        return stack_z_norm(times, a, grid)
 
     v = sweep(None)
     scale = z(v)
@@ -823,6 +835,293 @@ class TestSolveGlobal:
             )
             consts.append(inc / dt)
         assert max(consts) / min(consts) < 1.5
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_same_piece(got, want):
+    assert got.iterations == want.iterations
+    assert same_bits(got.factors, want.factors)
+    assert same_bits(got.residual, want.residual)
+    assert same_bits(got.trajectory.times, want.trajectory.times)
+    assert same_bits(got.trajectory.energy_log, want.trajectory.energy_log)
+    assert same_bits([s.values for s in got.trajectory.states],
+                     [s.values for s in want.trajectory.states])
+
+
+def serially(monkeypatch, call):
+    """call() with the Duhamel sweeps on one thread."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "WAVEFRONT_MIN_POINTS", math.inf)
+        return call()
+
+
+def static_piece(n, N, amplitude=-2.0):
+    grid = make_grid(n, 8.0, N)
+    u0 = gaussian_field(grid, sigma=1.0)
+    return u0, StaticPotential(real_profile(grid, amplitude * u0.values.real))
+
+
+def _wavefront_in_child(u0, V, piece, dt, expected, parent_worker):
+    """Target of a forked child: its own worker, the parent's bits."""
+    assert spectral._worker(os.getpid()) is not parent_worker
+    assert_same_piece(duhamel_iterate(u0, None, V, piece, dt), expected)
+
+
+def _error_in_child(raiser, u0, V, piece, want):
+    """Target of a forked child: the 60th FFT call of one side raises; the
+    error reaches the caller once neither thread sweeps, and the worker
+    still serves the next piece."""
+    main = threading.get_ident()
+    calls = {"caller": 0, "worker": 0}
+
+    def failing(fn):
+        def wrapper(*args, **kwargs):
+            side = "caller" if threading.get_ident() == main else "worker"
+            calls[side] += 1
+            if side == raiser and calls[side] == 60:  # a few sweeps in
+                raise RuntimeError(f"{raiser} sweep")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real = np.fft.fftn, np.fft.fft
+    # the caller transforms with fftn, the worker with one-axis fft
+    np.fft.fftn, np.fft.fft = failing(real[0]), failing(real[1])
+    try:
+        with pytest.raises(RuntimeError, match=f"{raiser} sweep"):
+            duhamel_iterate(u0, None, V, piece, 0.005)
+        seen = dict(calls)
+        time.sleep(0.1)
+        assert calls == seen  # neither thread still sweeps
+    finally:
+        np.fft.fftn, np.fft.fft = real
+    assert seen["caller"] and seen["worker"]
+    assert spectral._worker(os.getpid()).submit(lambda: 1).result(timeout=5) == 1
+    assert_same_piece(duhamel_iterate(u0, None, V, piece, 0.005), want)
+
+
+def run_in_fork(target, args, timeout=120):
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork() in a process with threads; the child
+        # touches only its own worker
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        child.start()
+    child.join(timeout=timeout)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's piece did not finish")
+    assert child.exitcode == 0
+
+
+class TestWavefront:
+    """On grids of WAVEFRONT_MIN_POINTS points and up, with two CPUs allowed,
+    the even sweeps of a piece run on the caller and the odd ones on
+    spectral's worker thread, each one row behind the last, with the serial
+    bits, factors, iterations, residual and errors."""
+
+    @pytest.fixture
+    def worker_ffts(self, monkeypatch):
+        """Records every one-axis FFT made off the calling thread."""
+        main = threading.get_ident()
+        calls = []
+        for name in ("fft", "ifft"):
+            def recorded(*args, _fn=getattr(np.fft, name), **kwargs):
+                if threading.get_ident() != main:
+                    calls.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """The wavefront wherever the grid allows it, one CPU or more."""
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+
+    @pytest.fixture
+    def small_grids(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(solver, "WAVEFRONT_MIN_POINTS", 1)
+
+    def test_static_32cubed_piece(self, monkeypatch, worker_ffts):
+        # the gate as it stands: a wavefront exactly when two CPUs are allowed
+        u0, V = static_piece(3, 32)
+        assert u0.grid.npoints >= solver.WAVEFRONT_MIN_POINTS
+        got = duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01)
+        assert bool(worker_ffts) == spectral._two_cpus()
+        want = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01))
+        assert got.iterations > 2
+        assert_same_piece(got, want)
+
+    def test_solve_global_32cubed(self, monkeypatch, two_cpus, worker_ffts):
+        u0, V = static_piece(3, 32)
+
+        def solve():
+            return solve_global(u0, None, V, (0.0, 0.3), 2, 2, tau=1.5, dt=0.01,
+                                pairs=[("inf", 2), (2, 6)], store_every=1)
+
+        got = solve()
+        assert worker_ffts
+        want = serially(monkeypatch, solve)
+        assert got.pieces == want.pieces >= 2
+        assert got.iterations == want.iterations
+        assert same_bits(sum(got.contraction_factors, []), sum(want.contraction_factors, []))
+        assert same_bits(got.residuals, want.residuals)
+        assert got.strichartz_ratios == want.strichartz_ratios
+        assert same_bits(got.energy_log, want.energy_log)
+        assert same_bits([s.values for s in got.trajectory.states],
+                         [s.values for s in want.trajectory.states])
+
+    def test_callable_source_2d(self, standing2d, monkeypatch, small_grids, worker_ffts):
+        grid, W, u0 = standing2d
+
+        def F(t):
+            return ComplexField(grid, 0.3 * np.exp(-1j * t) * u0.values)
+
+        V, piece = PseudoconformalPotential(W), (0.8, 1.0)
+        got = duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-10)
+        assert worker_ffts
+        assert_same_piece(got, serially(
+            monkeypatch, lambda: duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-10)))
+        v, iterations, factors, residual = reference_duhamel(u0, F, V, piece, 0.005, tol=1e-10)
+        assert (got.iterations, got.factors, got.residual) == (iterations, factors, residual)
+        assert same_bits([s.values for s in got.trajectory.states], v)
+
+    def test_zero_potential_stops_after_first_iteration(self, standing2d, monkeypatch,
+                                                        small_grids, worker_ffts):
+        grid, _, u0 = standing2d
+        got = duhamel_iterate(u0, None, ZeroPotential(), (0.0, 0.5), dt=0.01)
+        assert worker_ffts
+        assert (got.iterations, got.factors, got.residual) == (1, [], 0.0)
+        assert_same_piece(got, serially(
+            monkeypatch, lambda: duhamel_iterate(u0, None, ZeroPotential(), (0.0, 0.5),
+                                                 dt=0.01)))
+
+    def test_non_contraction_error_at_maxit(self, standing2d, monkeypatch, small_grids):
+        grid, W, u0 = standing2d
+        V = StaticPotential(real_profile(grid, 40.0 * W.values.real))
+        with pytest.raises(NonContractionError) as got:
+            duhamel_iterate(u0, None, V, (0.0, 0.5), dt=0.01, maxit=4)
+        with pytest.raises(NonContractionError) as want:
+            serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.5), dt=0.01,
+                                                          maxit=4))
+        assert "after 4 iterations (last factor" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("slow", ["worker", "caller"])
+    def test_decisions_in_sweep_order_when_one_side_is_slow(self, monkeypatch, small_grids,
+                                                            slow):
+        # each Z-norm of the slow side takes 20 ms more, so the other side
+        # finishes its next sweep first, and must wait to decide after it
+        u0, V = static_piece(2, 32)
+        want = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01))
+        main, real = threading.get_ident(), solver.time_lp
+
+        def time_lp(*args):
+            if (threading.get_ident() == main) == (slow == "caller"):
+                time.sleep(0.02)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "time_lp", time_lp)
+        assert_same_piece(duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01), want)
+
+    def test_bits_hold_under_a_short_switch_interval(self, monkeypatch, small_grids,
+                                                     worker_ffts):
+        # the threads hand the interpreter back and forth every microsecond,
+        # so a row read before it is finished would change the bits
+        u0, V = static_piece(2, 32)
+        want = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01)
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker_ffts
+        assert_same_piece(got, want)
+
+    @pytest.mark.parametrize("raiser", ["worker", "caller"])
+    def test_error_surfaces_after_both_threads_stop(self, standing2d, monkeypatch,
+                                                    small_grids, raiser):
+        # in a child on a timeout, so that a thread left waiting fails the
+        # test instead of hanging the suite
+        grid, W, u0 = standing2d
+        V, piece = StaticPotential(W), (0.0, 0.25)
+        want = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, piece, 0.005))
+        run_in_fork(_error_in_child, (raiser, u0, V, piece, want), timeout=60)
+
+    def test_one_cpu_takes_the_serial_path(self, monkeypatch, worker_ffts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        u0, V = static_piece(3, 32)
+        got = duhamel_iterate(u0, None, V, (0.0, 0.08), 0.01)
+        assert worker_ffts == []
+        assert_same_piece(got, serially(
+            monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.08), 0.01)))
+
+    def test_forked_child_gets_its_own_worker(self, monkeypatch, small_grids, worker_ffts):
+        u0, V = static_piece(2, 32)
+        expected = duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01)  # starts this worker
+        assert worker_ffts
+        run_in_fork(_wavefront_in_child, (u0, V, (0.0, 0.16), 0.01, expected,
+                                          spectral._worker(os.getpid())))
+
+    def test_large_grid_steps_serially_on_both_threads(self, monkeypatch, two_cpus):
+        # at PARALLEL_MIN_POINTS a strang_step would queue half of every step
+        # on the worker that is running the odd sweeps; a child on a timeout
+        # keeps a deadlock from hanging the suite
+        u0, V = static_piece(3, 64)
+        assert u0.grid.npoints >= spectral.PARALLEL_MIN_POINTS
+        piece = (0.0, 0.08)  # 9 nodes: the shortest wavefront piece
+        expected = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, piece, 0.01))
+        assert len(expected.trajectory.times) == 9
+        run_in_fork(_wavefront_in_child, (u0, V, piece, 0.01, expected,
+                                          spectral._worker(os.getpid())))
+
+    @pytest.mark.parametrize("piece, stacks", [((0.8, 0.84), 3.0), ((0.8, 1.0), 2.25)])
+    def test_peak_memory_two_stacks_and_grid_buffers(self, small_grids, worker_ffts, piece,
+                                                     stacks):
+        # 2D N=64: the shortest wavefront piece (9 nodes) stays within the
+        # three stacks duhamel_iterate checks for, a piece of 41 nodes within
+        # two stacks and its grid buffers; the worker is started beforehand,
+        # since its first start imports concurrent.futures
+        spectral._worker(os.getpid())
+        u0, V = static_piece(2, 64, amplitude=1.0)
+        tracemalloc.start()
+        try:
+            res = duhamel_iterate(u0, None, V, piece, dt=0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = len(res.trajectory.times) * 64**2 * 16
+        assert worker_ffts and len(res.trajectory.times) in (9, 41)
+        assert peak <= stacks * stack, peak / stack
+
+    def test_fftn_calls_on_the_caller_twice_per_row(self, monkeypatch, two_cpus):
+        # bench/layers.py counts np.fft.fftn/ifftn in a single-threaded tracer
+        u0, V = static_piece(3, 32)
+        calls, threads = [0], set()
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls[0] += 1
+                threads.add(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        m = 16
+        res = duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01)
+        even_sweeps = (res.iterations + 1) // 2 + 1  # of S_0 .. S_{K+1}
+        assert calls[0] == 2 * m * even_sweeps
+        assert threads == {threading.get_ident()}
+        calls[0] = 0
+        serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01))
+        assert calls[0] == 2 * m * (res.iterations + 2)
 
 
 class TestStoreBudget:

@@ -432,6 +432,26 @@ class TestLqNorm:
             assert lq_norm(u, q) == pytest.approx(ref, rel=1e-13)
             assert got == pytest.approx(lq_norm(u, q), rel=1e-14)
 
+    @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128), (3, 32)])
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    def test_stack_rows_normed_alone_bit_for_bit(self, n, N, rows):
+        # a Duhamel wavefront logs each row's norms on its own, as a stack
+        # of one row, and decides from them as from the whole stack's table;
+        # rows of 2^14 points and up are beyond einsum's 8192-point buffer
+        g = make_grid(n, 4.0, N)
+        rng = np.random.default_rng(rows)
+        stack = rng.standard_normal((rows,) + g.shape) + 1j * rng.standard_normal((rows,) + g.shape)
+        qs = [2, 4, 6, 8, "inf"]
+        table = lq_norm_table(stack, g, qs)
+        for j in range(rows):
+            alone = lq_norm_table(stack[j:j + 1], g, qs)
+            for q in table:
+                assert same_bits(table[q][j], alone[q][0]), (q, j)
+            # a state that is not a stack matches where no root is taken by pow
+            single = lq_norm_table(stack[j], g, qs)
+            for q in (Exponent(2), Exponent("inf")):
+                assert same_bits(table[q][j], single[q]), (q, j)
+
     def test_refinement_order(self):
         # Riemann sums on a marginally resolved Gaussian: the error must
         # drop at least 4x per grid doubling (it drops much faster).
