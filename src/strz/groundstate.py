@@ -6,6 +6,10 @@ generalized eigenproblem (-Lap + 1) f = mu w f; the smallest positive mu is
 reached by power iteration on the compact operator (-Lap + 1)^(-1) (w .),
 whose dominant eigenvalue is 1/mu.  Negating the weight, W = -mu w, turns f
 into a standing wave: u(t) = exp(-it) f solves i u_t - Lap(u) + W u = 0.
+
+The Helmholtz transforms run through spectral.strang_step's kernel with the
+symbol 1 + |xi|^2, so on grids of 2^18 points and up they share its worker
+thread, bit for bit the serial result.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConvergenceError, EmptyConstraintError, PreconditionError
-from .spectral import ComplexField, Grid, _ksq, gaussian_field
+from .spectral import ComplexField, Grid, _fourier_step, _ksq, gaussian_field, strang_step
 
 GROUND_TOL = 1e-11  # relative Euler-Lagrange residual at which iteration stops
 GROUND_MAXIT = 3000
@@ -30,18 +34,12 @@ def _symbol(grid: Grid) -> np.ndarray:
 
 def helmholtz_apply(f: np.ndarray, grid: Grid) -> np.ndarray:
     """(-Lap + 1) f via the spectral Laplacian, in one new complex buffer."""
-    out = np.array(f, dtype=np.complex128)
-    np.fft.fftn(out, out=out)
-    np.multiply(_symbol(grid), out, out=out)
-    return np.fft.ifftn(out, out=out)
+    return strang_step(f, _symbol(grid))
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid) -> np.ndarray:
     """(-Lap + 1)^(-1) f via the spectral Laplacian, in one new complex buffer."""
-    out = np.array(f, dtype=np.complex128)
-    np.fft.fftn(out, out=out)
-    np.divide(out, _symbol(grid), out=out)
-    return np.fft.ifftn(out, out=out)
+    return _fourier_step(f, _symbol(grid), None, None, True)
 
 
 def h1_norm_sq(f: ComplexField) -> float:
@@ -86,19 +84,19 @@ def ground_pair(w: ComplexField) -> GroundPair:
     f = np.where(wvals > 0, wvals, 0.0)
     f /= np.linalg.norm(f)
     lam = 0.0
-    mu = np.inf
+    mu = res = np.inf
     for it in range(1, GROUND_MAXIT + 1):
-        g = helmholtz_solve(wvals * f, grid).real
+        g = np.ascontiguousarray(helmholtz_solve(wvals * f, grid).real)  # one contiguous copy
         lam = float(np.dot(f.ravel(), g.ravel()))  # L2 Rayleigh quotient, ||f|| = 1
         nrm = np.linalg.norm(g)
         if nrm == 0.0:
             raise ConvergenceError("iteration collapsed to zero; weight too degenerate")
         f = g / nrm
         mu = 1.0 / lam
-        if it % 5 == 0 or it == GROUND_MAXIT:
-            if _residual(f, wvals, mu, grid) < GROUND_TOL:
+        if it % 5 == 0 or it == GROUND_MAXIT:  # the last iteration is always checked
+            res = _residual(f, wvals, mu, grid)
+            if res < GROUND_TOL:
                 break
-    res = _residual(f, wvals, mu, grid)
     if res >= GROUND_TOL:
         raise ConvergenceError(
             f"inverse iteration stagnated: residual {res:.3e} after {it} iterations"

@@ -9,9 +9,12 @@ solver's half-phases, the power tables of _sinc_matrix) is unit_phase:
 cos(theta) + i sin(theta) in one complex array, bit for bit what
 np.exp(1j * theta) gives, without its complex product and exp.
 
-strang_step uses one extra worker thread on grids of at least
+strang_step is the one FFT-symbol-FFT kernel: it multiplies by a Fourier
+symbol between the two transforms, or, for groundstate's Helmholtz solve,
+divides by one.  It uses one extra worker thread on grids of at least
 PARALLEL_MIN_POINTS = 2^18 points (64^3, 512^2 and up) when the process
-may run on two or more CPUs; results are bit-identical either way, and
+may run on two or more CPUs, so the ground state's Helmholtz transforms
+share the worker there too; results are bit-identical either way, and
 `taskset -c 0` runs it on one CPU.  There is no option or environment
 variable for it.  The solver's Duhamel sweeps use the same thread on
 smaller grids too (solver.WAVEFRONT_MIN_POINTS).
@@ -204,9 +207,13 @@ def free_multiplier(grid: Grid, t: float) -> np.ndarray:
 
 def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a
-    free_multiplier of the step length h and phase the potential half-phase
-    P = exp(i (h/2) V); phase None (P = 1) makes it exact free propagation.
+    """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a Fourier
+    symbol, for a step of length h the free_multiplier, and phase the
+    potential half-phase P = exp(i (h/2) V); phase None (P = 1) makes it
+    exact free propagation.  groundstate's Helmholtz apply is this step
+    with the symbol 1 + |xi|^2 and no phase, and its solve the same kernel
+    dividing by that symbol (_fourier_step), so the ground state's
+    Helmholtz transforms share the worker thread below too.
 
     P a (or a copy of a) is formed in the result and both FFTs and products
     then run in place, so a is never written and may be read-only.  Given
@@ -214,20 +221,28 @@ def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = No
     writes the result there, returns out and allocates nothing; else it
     returns one new array.
 
-    An array of two or more axes and at least PARALLEL_MIN_POINTS points,
-    in a process allowed two or more CPUs, steps in two threads
-    (_split_strang_step), bit for bit the serial result."""
+    An array of two or more axes and at least PARALLEL_MIN_POINTS = 2^18
+    points, in a process allowed two or more CPUs, steps in two threads
+    (_split_strang_step), bit for bit the serial result.  Never call it on
+    the worker thread itself: the step would wait on its own queue."""
+    return _fourier_step(a, kin, phase, out, False)
+
+
+def _fourier_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
+                  out: Optional[np.ndarray], divide: bool) -> np.ndarray:
+    """strang_step, dividing by the symbol kin in place of multiplying by it
+    when divide is set."""
     if out is None:
         out = np.empty(np.shape(a), dtype=np.complex128)
     if out.ndim >= 2 and out.size >= PARALLEL_MIN_POINTS and _two_cpus():
-        _split_strang_step(a, kin, phase, out)
+        _split_strang_step(a, kin, phase, out, divide)
         return out
-    return _serial_strang_step(a, kin, phase, out, False)
+    return _serial_strang_step(a, kin, phase, out, False, divide)
 
 
 def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                        out: np.ndarray, one_axis: bool) -> np.ndarray:
-    """strang_step into out on this thread alone, whatever the size; with
+                        out: np.ndarray, one_axis: bool, divide: bool = False) -> np.ndarray:
+    """_fourier_step into out on this thread alone, whatever the size; with
     one_axis, every transform is one-axis passes (_transform)."""
     if phase is None:
         np.copyto(out, a)
@@ -235,15 +250,25 @@ def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarr
         np.multiply(phase, a, out=out)
     if one_axis:
         _transform(out, None, False, True)
-        np.multiply(kin, out, out=out)
+        _apply_symbol(kin, out, divide)
         _transform(out, None, True, True)
     else:  # the calls of every serial step, kept free of _transform's dispatch
         np.fft.fftn(out, out=out)
-        np.multiply(kin, out, out=out)
+        _apply_symbol(kin, out, divide)
         np.fft.ifftn(out, out=out)
     if phase is not None:
         np.multiply(phase, out, out=out)
     return out
+
+
+def _apply_symbol(kin: np.ndarray, o: np.ndarray, divide: bool) -> None:
+    """o = kin * o, or with divide o = o / kin, in place.  A division is
+    never a product by 1 / kin: numpy's complex quotient and that product
+    differ in the sign of zero parts."""
+    if divide:
+        np.divide(o, kin, out=o)
+    else:
+        np.multiply(kin, o, out=o)
 
 
 def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
@@ -290,12 +315,12 @@ def _in_two_halves(mine: Callable[[], object], theirs: Callable[[], object]) -> 
 
 
 def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                       out: np.ndarray) -> None:
-    """strang_step into out in four stages, each split between this thread
+                       out: np.ndarray, divide: bool) -> None:
+    """_fourier_step into out in four stages, each split between this thread
     and the worker: (A) halves of axis 0 form P a and transform axes
-    1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin;
-    (C) halves of axis 0 inverse-transform axes 1..n-1; (D) halves of axis 1
-    inverse-transform axis 0 and multiply by P.
+    1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin (or
+    divide by it); (C) halves of axis 0 inverse-transform axes 1..n-1;
+    (D) halves of axis 1 inverse-transform axis 0 and multiply by P.
 
     numpy's fftn and ifftn transform the last axis first and axis 0 last,
     each axis by the same one-axis pocketfft pass as fft and ifft, so every
@@ -319,7 +344,7 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
     def forward_cols(half):
         o = out[half]
         np.fft.fft(o, axis=0, out=o)
-        np.multiply(kin[half], o, out=o)
+        _apply_symbol(kin[half], o, divide)
 
     def backward_rows(half, mine):
         _transform(out[half], inner, True, not mine)

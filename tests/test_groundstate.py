@@ -1,9 +1,10 @@
 import random
+import threading
 
 import numpy as np
 import pytest
 
-from strz import groundstate
+from strz import groundstate, spectral
 from strz.errors import EmptyConstraintError, PreconditionError
 from strz.groundstate import (
     constraint_value,
@@ -81,6 +82,16 @@ class TestGroundPair:
         f2 = gp2.f.values.real / np.linalg.norm(gp2.f.values.real)
         assert np.abs(np.dot(f1, f2)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_residual_per_check(self, pair1d, monkeypatch):
+        # the residual of the last check is the one reported, not taken again
+        applies = []
+        apply = groundstate.helmholtz_apply
+        monkeypatch.setattr(groundstate, "helmholtz_apply",
+                            lambda f, grid: applies.append(1) or apply(f, grid))
+        gp = ground_pair(pair1d.w)
+        assert gp.iterations % 5 == 0 and len(applies) == gp.iterations // 5
+        assert same_bits(gp.residual, pair1d.residual)
+
     def test_empty_constraint(self):
         grid = make_grid(1, 12.0, 64)
         w = ComplexField(grid, -default_weight(grid).values)
@@ -123,7 +134,77 @@ class TestGroundPair:
             assert gp.mu > 0
 
 
+def same_bits(a, b):
+    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def out_of_place_apply(f, grid):
+    return np.fft.ifftn((1.0 + _ksq(grid)) * np.fft.fftn(f))
+
+
+def out_of_place_solve(f, grid):
+    return np.fft.ifftn(np.fft.fftn(f) / (1.0 + _ksq(grid)))
+
+
+# 2^18 points each (spectral.PARALLEL_MIN_POINTS), then grids below it
+SPLIT_GRIDS = [(3, 64), (2, 512)]
+SERIAL_GRIDS = [(3, 32), (2, 256), (1, 64)]
+
+
 class TestHelmholtz:
+    @pytest.fixture
+    def worker_ffts(self, monkeypatch):
+        """Names of the np.fft calls made off the calling thread."""
+        main = threading.get_ident()
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                if threading.get_ident() != main:
+                    calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS + SERIAL_GRIDS)
+    @pytest.mark.parametrize("two_cpus", [True, False])
+    def test_bit_identical_to_out_of_place(self, n, N, two_cpus, monkeypatch, worker_ffts):
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: two_cpus)
+        grid = make_grid(n, 8.0, N)
+        rng = np.random.default_rng(N)
+        real = rng.standard_normal(grid.shape)
+        cplx = real + 1j * rng.standard_normal(grid.shape)
+        # negative zeros tell a quotient by the symbol from a product by
+        # its reciprocal
+        zeros = (np.full(grid.shape, -0.0), np.full(grid.shape, complex(-0.0, -0.0)))
+        # the worker takes half of every transform on the split path, in
+        # one-axis passes only
+        split = two_cpus and grid.npoints >= spectral.PARALLEL_MIN_POINTS
+        for f in (real, cplx) + zeros:
+            before = f.copy()
+            for helper, reference in ((helmholtz_apply, out_of_place_apply),
+                                      (helmholtz_solve, out_of_place_solve)):
+                worker_ffts.clear()
+                assert same_bits(helper(f, grid), reference(f, grid))
+                assert set(worker_ffts) == ({"fft", "ifft"} if split else set())
+            assert same_bits(f, before)
+
+    def test_ground_pair_split_path_bit_identical(self, monkeypatch, worker_ffts):
+        w = default_weight(make_grid(3, 8.0, 64))
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+        split = ground_pair(w)
+        assert set(worker_ffts) == {"fft", "ifft"}  # no fftn or ifftn off this thread
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: False)
+        serial = ground_pair(w)
+        assert split.iterations == serial.iterations
+        assert same_bits(split.mu, serial.mu)
+        assert same_bits(split.residual, serial.residual)
+        assert same_bits(split.f.values, serial.f.values)
+        assert same_bits(standing_wave_residual(*standing_wave_potential(split)),
+                         standing_wave_residual(*standing_wave_potential(serial)))
+
     @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
     def test_solve_inverts_apply(self, n, N):
         grid = make_grid(n, 8.0, N)
@@ -137,10 +218,8 @@ class TestHelmholtz:
             assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
 
     def test_ground_pair_matches_out_of_place_helmholtz(self, pair1d, monkeypatch):
-        monkeypatch.setattr(groundstate, "helmholtz_apply", lambda f, grid: np.fft.ifftn(
-            (1.0 + _ksq(grid)) * np.fft.fftn(f)))
-        monkeypatch.setattr(groundstate, "helmholtz_solve", lambda f, grid: np.fft.ifftn(
-            np.fft.fftn(f) / (1.0 + _ksq(grid))))
+        monkeypatch.setattr(groundstate, "helmholtz_apply", out_of_place_apply)
+        monkeypatch.setattr(groundstate, "helmholtz_solve", out_of_place_solve)
         ref = ground_pair(pair1d.w)
         assert ref.iterations == pair1d.iterations
         assert abs(pair1d.mu - ref.mu) <= 1e-12 * ref.mu
