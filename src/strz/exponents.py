@@ -10,7 +10,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DimensionError, PreconditionError, RegimeError
 
@@ -20,33 +20,42 @@ ExponentLike = Union["Exponent", int, Fraction, str]
 class Exponent:
     """A Lebesgue exponent: a rational in [1, inf] or infinity itself."""
 
-    __slots__ = ("_value",)
+    # the hash and float are taken once: norm tables and the solvers' dicts
+    # key on exponents at every step
+    __slots__ = ("_value", "_hash", "_float")
 
     def __init__(self, value: ExponentLike):
+        self._value = self._parse(value)
+        self._hash = hash(self._value)
+        self._float = math.inf if self._value is None else float(self._value)
+
+    @staticmethod
+    def _parse(value: ExponentLike) -> Optional[Fraction]:
+        """The rational value of value, or None for infinity."""
         if isinstance(value, Exponent):
-            self._value = value._value
-            return
+            return value._value
         if isinstance(value, str):
             text = value.strip().lower()
             if text in ("inf", "infinity", "oo"):
-                self._value = None
-                return
+                return None
             try:
                 value = Fraction(text)
             except ZeroDivisionError as exc:
                 raise ValueError(f"exponent {value!r} has a zero denominator") from exc
         if isinstance(value, float):
             if math.isinf(value) and value > 0:
-                self._value = None
-                return
+                return None
             raise TypeError("exponents are exact: pass int, Fraction or 'inf', not float")
         if isinstance(value, (int, Fraction)):
             value = Fraction(value)
             if value < 1:
                 raise ValueError(f"exponent must lie in [1, inf], got {value}")
-            self._value = value
-            return
+            return value
         raise TypeError(f"cannot build an exponent from {value!r}")
+
+    def __reduce__(self):
+        # rebuilt from its text, so the hash is taken again in the new process
+        return (Exponent, (str(self),))
 
     @classmethod
     def from_reciprocal(cls, recip: Fraction) -> "Exponent":
@@ -78,14 +87,15 @@ class Exponent:
         return Exponent.from_reciprocal(1 - self.reciprocal)
 
     def __eq__(self, other) -> bool:
-        try:
-            other = Exponent(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if not isinstance(other, Exponent):
+            try:
+                other = Exponent(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return self._value == other._value
 
     def __hash__(self):
-        return hash(self._value)
+        return self._hash
 
     def __lt__(self, other) -> bool:
         other = Exponent(other)
@@ -106,7 +116,7 @@ class Exponent:
         return not self < Exponent(other)
 
     def __float__(self) -> float:
-        return math.inf if self._value is None else float(self._value)
+        return self._float
 
     def __str__(self) -> str:
         return "inf" if self._value is None else str(self._value)

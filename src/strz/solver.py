@@ -275,7 +275,7 @@ def split_step_evolve(
     rec = _Recorder(grid, m, pairs, store_every, keep_states)
     sampler = PotentialSampler(V, grid)
     kin = free_multiplier(grid, dt_eff)
-    kin_half = free_multiplier(grid, dt_eff / 2.0)
+    kin_half = None if F is None else free_multiplier(grid, dt_eff / 2.0)
 
     def record(j: int, uvals: np.ndarray):
         rec.add(float(times[j]), uvals)

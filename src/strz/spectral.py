@@ -18,16 +18,24 @@ share the worker there too; results are bit-identical either way, and
 `taskset -c 0` runs it on one CPU.  There is no option or environment
 variable for it.  The solver's Duhamel sweeps use the same thread on
 smaller grids too (solver.WAVEFRONT_MIN_POINTS).
+
+lq_norm_table norms every row (one state, or one row of a stack) of at
+least PARALLEL_MIN_POINTS points with n >= 2 as the two halves of its first
+spatial axis, on this thread and the worker for a single state when two
+CPUs are allowed.  q = 2, inf and every q but 4 and 6 keep the bits of a
+whole-array pass, and the fused sums of q = 4 and 6 differ from one in
+the last bits.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -49,6 +57,7 @@ DECAY_FIT_MASS_TOL = 1e-3  # box tolerance of a dispersive-decay fit
 # trials at 64^3 and 512^2 (about -40%) but only 5 of 10 at 32^3 and 256^2;
 # no grid with n >= 2 has between 2^16 and 2^18 points.
 PARALLEL_MIN_POINTS = 2**18
+_WORKER_NAME = "strz-step"  # the worker thread's name prefix
 
 QLike = Union[Exponent, int, Fraction, str]
 
@@ -284,6 +293,12 @@ def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
         (np.fft.ifftn if inverse else np.fft.fftn)(o, axes=axes, out=o)
 
 
+def _on_worker() -> bool:
+    """Whether this is the worker thread, which must not wait on its own
+    queue."""
+    return threading.current_thread().name.startswith(_WORKER_NAME)
+
+
 def _two_cpus() -> bool:
     """Whether this process may run on two or more CPUs (taskset and cpuset
     masks included); platforms without affinity masks step serially."""
@@ -299,7 +314,7 @@ def _worker(pid: int) -> ThreadPoolExecutor:
     # RSS that a process stepping only small grids need not pay
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="strz-step")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER_NAME)
 
 
 def _in_two_halves(mine: Callable[[], object], theirs: Callable[[], object]) -> None:
@@ -380,26 +395,79 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
     may differ in the last bit for q other than 2 and inf: numpy takes a
     scalar's root by its C pow and an array's by its vectorized loop.
 
-    One modulus pass fills |u| into the one real buffer the kernel allocates,
-    and every q reads it: q = inf first (the grid max modulus).  Then the
-    buffer is squared in place: q = 2 sums |u|^2, and q = 4 and q = 6 are
-    fused multiply-sums (einsum) of two and three |u|^2 operands, so they
-    make no temporary and call no pow.  Any other finite q (8 among them)
-    takes its own power pass in the buffer, refilled with |u| first if it
-    was already consumed.
+    _norm_sums takes every q's sum (the max for q = inf); the table scales
+    and roots each once.  Rows of at least PARALLEL_MIN_POINTS = 2^18 points
+    with n >= 2 (64^3, 512^2 and up) are summed as the two halves of their
+    first spatial axis, maxima combined by np.maximum and sums by +.  A
+    single state takes its halves on this thread and the worker when the
+    process may run on two or more CPUs; a stack, or a state normed on the
+    worker itself, takes both here in the same order, so the bits do not
+    depend on the CPUs.  numpy sums a contiguous power-of-two block
+    pairwise, splitting it at its midpoint, so q = 2, inf and every q but 4
+    and 6 keep the bits of one whole-row sum; the einsums of q = 4 and 6
+    differ from it in the last bits.
     """
     exps = {as_exponent(q) for q in qs}
+    if grid.n >= 2 and grid.npoints >= PARALLEL_MIN_POINTS:
+        sums = _sums_in_halves(values, grid, exps)
+    else:
+        sums = _norm_sums(values, grid, exps)
+    table = {}
+    for q, total in sums.items():
+        if q.is_infinite:
+            table[q] = total
+        elif float(q) == 2.0:
+            table[q] = np.sqrt(total * grid.cell_volume)
+        else:
+            table[q] = (total * grid.cell_volume) ** (1.0 / float(q))
+    return table
+
+
+def _sums_in_halves(values: np.ndarray, grid: Grid,
+                    exps: Set[Exponent]) -> Dict[Exponent, np.ndarray]:
+    """_norm_sums of values from the two halves of the first spatial axis;
+    a single state's bottom half runs on the worker (see lq_norm_table)."""
+    tail = (slice(None),) * (grid.n - 1)
+    halves = (values[(..., slice(None, grid.N // 2)) + tail],
+              values[(..., slice(grid.N // 2, None)) + tail])
+    sums: List[Dict[Exponent, np.ndarray]] = [{}, {}]
+
+    def norm(i: int) -> None:
+        sums[i] = _norm_sums(halves[i], grid, exps)
+
+    if values.ndim == grid.n and _two_cpus() and not _on_worker():
+        _in_two_halves(lambda: norm(0), lambda: norm(1))
+    else:
+        norm(0)
+        norm(1)
+    top, bottom = sums
+    return {q: np.maximum(s, bottom[q]) if q.is_infinite else s + bottom[q]
+            for q, s in top.items()}
+
+
+def _norm_sums(values: np.ndarray, grid: Grid,
+               exps: Set[Exponent]) -> Dict[Exponent, np.ndarray]:
+    """The grid max modulus (q = inf) and the sum of |u|^q (finite q) over
+    the trailing grid.n axes, for every q of exps, without scaling or root.
+
+    One modulus pass fills |u| into the one real buffer the kernel allocates,
+    and every q reads it: q = inf first.  Then the buffer is squared in
+    place: q = 2 sums |u|^2, and q = 4 and q = 6 are fused multiply-sums
+    (einsum) of two and three |u|^2 operands, so they make no temporary and
+    call no pow.  Any other finite q (8 among them) takes its own power pass
+    in the buffer, refilled with |u| first if it was already consumed.
+    """
     even = [q for q in exps if float(q) in (2.0, 4.0, 6.0)]
     rest = [q for q in exps if q not in even and not q.is_infinite]
     axes = tuple(range(-grid.n, 0))
     mod = np.abs(values)
-    table = {INF: mod.max(axis=axes)} if INF in exps else {}
+    sums = {INF: mod.max(axis=axes)} if INF in exps else {}
     if even:
         sq = np.square(mod, out=mod)  # |u|^2
         sub = "..." + "ijk"[:grid.n]
         for q in even:
             if float(q) == 2.0:
-                table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
+                sums[q] = sq.sum(axis=axes)
                 continue
             factors = 3 if float(q) == 6.0 else 2
             spec = ",".join([sub] * factors) + "->..."
@@ -407,19 +475,17 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
                 # einsum sums two operands in buffer-sized chunks once a
                 # stack's rows exceed 8192 points; one call per row sums
                 # each whole, as for a stack of one
-                rows = sq.reshape((-1,) + grid.shape)
+                rows = sq.reshape((-1,) + sq.shape[-grid.n:])
                 total = np.array([np.einsum(spec, r, r) for r in rows])
-                total = total.reshape(sq.shape[:-grid.n])
+                sums[q] = total.reshape(sq.shape[:-grid.n])
             else:
-                total = np.einsum(spec, *[sq] * factors)
-            table[q] = (total * grid.cell_volume) ** (1.0 / float(q))
+                sums[q] = np.einsum(spec, *[sq] * factors)
     for i, q in enumerate(rest):
         if even or i:
             np.abs(values, out=mod)
-        qf = float(q)
-        mod **= qf
-        table[q] = (mod.sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
-    return table
+        mod **= float(q)
+        sums[q] = mod.sum(axis=axes)
+    return sums
 
 
 def lq_norms(values: np.ndarray, grid: Grid, q: QLike) -> np.ndarray:

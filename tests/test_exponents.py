@@ -1,7 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from strz import exponents
 from strz.errors import DimensionError, PreconditionError, RegimeError
 from strz.exponents import (
     INF,
@@ -47,6 +52,24 @@ class TestExponent:
     def test_reciprocal_convention(self):
         assert INF.reciprocal == 0
         assert Exponent(4).reciprocal == F(1, 4)
+
+    def test_hash_and_float_match_the_value(self):
+        for e, value in ((Exponent(2), 2), (Exponent("8/3"), F(8, 3)), (INF, None)):
+            assert hash(e) == hash(value)
+            assert float(e) == (float("inf") if value is None else float(value))
+            assert e == Exponent(str(e)) and e == str(e)
+
+    def test_unpickled_in_another_process_keys_its_dicts(self):
+        # hash(None), the hash of inf, differs between processes before
+        # Python 3.12, so a pickle must not carry the hash taken here
+        data = pickle.dumps([INF, Exponent("8/3")])
+        code = ("import pickle, sys\n"
+                "from strz.exponents import Exponent\n"
+                "got = pickle.loads(sys.stdin.buffer.read())\n"
+                "assert {Exponent('inf'): 0, Exponent('8/3'): 1} == dict(zip(got, (0, 1)))\n")
+        src = os.path.dirname(os.path.dirname(exponents.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], input=data, env=env).returncode == 0
 
     def test_ordering(self):
         assert Exponent(2) < Exponent(3) < INF

@@ -524,6 +524,138 @@ class TestLqNormTable:
         assert peak <= 0.6 * stack.nbytes, peak / stack.nbytes
 
 
+def whole_array_table(values, grid, qs):
+    """The norm table of one whole-array pass, as lq_norm_table takes it on
+    grids below PARALLEL_MIN_POINTS: |u| once, the max, then |u|^2 in place
+    for q = 2 and the einsums of q = 4 and 6 (a stack's q = 4 row by row),
+    and a power pass per other q."""
+    exps = {Exponent(q) for q in qs}
+    axes = tuple(range(-grid.n, 0))
+    mod = np.abs(values)
+    table = {Exponent("inf"): mod.max(axis=axes)} if Exponent("inf") in exps else {}
+    sq = np.square(np.abs(values))
+    sub = "..." + "ijk"[:grid.n]
+    for q in exps:
+        qf = float(q)
+        if qf == 2.0:
+            table[q] = np.sqrt(sq.sum(axis=axes) * grid.cell_volume)
+        elif qf in (4.0, 6.0):
+            factors = 3 if qf == 6.0 else 2
+            spec = ",".join([sub] * factors) + "->..."
+            if factors == 2 and sq.ndim > grid.n:
+                rows = sq.reshape((-1,) + grid.shape)
+                total = np.array([np.einsum(spec, r, r) for r in rows])
+                total = total.reshape(sq.shape[:-grid.n])
+            else:
+                total = np.einsum(spec, *[sq] * factors)
+            table[q] = (total * grid.cell_volume) ** (1.0 / qf)
+        elif not q.is_infinite:
+            table[q] = (np.power(mod, qf).sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+    return table
+
+
+class TestSplitNormTable:
+    """Rows of PARALLEL_MIN_POINTS points and up are normed as the two
+    halves of their first spatial axis; a single state's halves run on the
+    caller and the worker when two or more CPUs are allowed."""
+
+    QS = [2, 4, 6, 8, "8/3", "inf"]
+    EXACT = [2, 8, "8/3", "inf"]  # the pairwise sum splits at the midpoint
+    FUSED = [4, 6]  # einsum sums: the last bits move
+
+    @staticmethod
+    def state(n, N, rows=None, seed=0):
+        g = make_grid(n, 8.0, N)
+        shape = g.shape if rows is None else (rows,) + g.shape
+        rng = np.random.default_rng(seed)
+        return g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.fixture
+    def halves_calls(self, monkeypatch):
+        """Records every _in_two_halves call."""
+        calls = []
+        real = spectral._in_two_halves
+
+        def recorded(mine, theirs):
+            calls.append(threading.get_ident())
+            return real(mine, theirs)
+
+        monkeypatch.setattr(spectral, "_in_two_halves", recorded)
+        return calls
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    def test_same_bits_on_one_cpu_or_two(self, n, N, monkeypatch, halves_calls):
+        g, values = self.state(n, N)
+        before = values.copy()
+        tables = []
+        for two in (True, False):
+            monkeypatch.setattr(spectral, "_two_cpus", lambda two=two: two)
+            tables.append(lq_norm_table(values, g, self.QS))
+            assert len(halves_calls) == 1  # only the two-CPU table split
+        for q in map(Exponent, self.QS):
+            assert same_bits(tables[0][q], tables[1][q]), q
+        assert same_bits(values, before)
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_against_the_whole_array(self, n, N, rows):
+        g, values = self.state(n, N, rows)
+        table = lq_norm_table(values, g, self.QS)
+        whole = whole_array_table(values, g, self.QS)
+        for q in map(Exponent, self.EXACT):
+            assert same_bits(table[q], whole[q]), q
+        for q in map(Exponent, self.FUSED):
+            np.testing.assert_allclose(table[q], whole[q], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n, N", [(3, 32), (2, 256), (1, 4096)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_small_grids_norm_the_whole_array(self, n, N, rows, halves_calls):
+        g, values = self.state(n, N, rows)
+        table = lq_norm_table(values, g, self.QS)
+        whole = whole_array_table(values, g, self.QS)
+        for q in map(Exponent, self.QS):
+            assert same_bits(table[q], whole[q]), q
+        assert halves_calls == []
+
+    def test_stack_rows_normed_alone_bit_for_bit(self):
+        g, stack = self.state(3, 64, rows=3)
+        table = lq_norm_table(stack, g, self.QS)
+        for j in range(len(stack)):
+            alone = lq_norm_table(stack[j:j + 1], g, self.QS)
+            for q in table:
+                assert same_bits(table[q][j], alone[q][0]), (q, j)
+
+    def test_stacks_never_split_across_threads(self, monkeypatch, halves_calls):
+        # the wavefront norms one-row stacks on both threads: a split there
+        # would queue the caller's half behind the worker's sweep chain
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+        g, stack = self.state(3, 64, rows=2)
+        lq_norm_table(stack, g, self.QS)
+        lq_norm_table(stack[:1], g, self.QS)
+        assert halves_calls == []
+
+    def test_a_state_normed_on_the_worker_returns(self):
+        # in a child process, so that a worker waiting on its own queue
+        # fails the test instead of hanging the interpreter's exit
+        code = ("import os, numpy as np\n"
+                "from strz import spectral\n"
+                "spectral._two_cpus = lambda: True\n"
+                "g = spectral.make_grid(3, 8.0, 64)\n"
+                "u = np.random.default_rng(0).standard_normal(g.shape) + 0j\n"
+                "qs = (2, 4, 6, 'inf')\n"
+                "expected = spectral.lq_norm_table(u, g, qs)\n"
+                "got = spectral._worker(os.getpid()).submit(spectral.lq_norm_table, u, g, qs)\n"
+                "got = got.result()\n"
+                "assert all(got[q].tobytes() == expected[q].tobytes() for q in expected)\n")
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a state normed on the worker thread did not return")
+        assert done.returncode == 0
+
+
 class TestRescale:
     def test_identity(self):
         g = make_grid(1, 8.0, 64)
