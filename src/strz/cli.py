@@ -51,7 +51,8 @@ from .exponents import (
     scaling_exponent,
 )
 from .groundstate import default_weight, ground_pair, standing_wave_potential
-from .potentials import mixed_norm, partition_interval, schedule_rows
+from .potentials import (ProfilePotential, SumPotential, mixed_norm, partition_interval,
+                         schedule_rows)
 from .snapshot import read_snapshot
 from .solver import calibrate_tau, solve_global, split_step_evolve
 from .spectral import ComplexField, gaussian_field, lq_norm, make_grid
@@ -210,6 +211,16 @@ def _load_initial(cfg: ExperimentConfig, grid, base_dir) -> ComplexField:
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
+def _check_profile_grids(V, grid) -> None:
+    """ConfigError unless every profile of V, a sum's terms' included, is
+    sampled on grid."""
+    if isinstance(V, SumPotential):
+        for term, _, _ in V.terms:
+            _check_profile_grids(term, grid)
+    elif isinstance(V, ProfilePotential) and V.profile.grid != grid:
+        raise ConfigError("potential profile grid does not match [grid]")
+
+
 def _grid_from_config(cfg: ExperimentConfig):
     return make_grid(
         cfg.get_int("grid", "n", required=True),
@@ -235,6 +246,7 @@ def cmd_simulate(args) -> int:
     grid = _grid_from_config(cfg)
     u0 = _load_initial(cfg, grid, base_dir)
     V = potential_from_config(cfg, base_dir=base_dir)
+    _check_profile_grids(V, grid)
     t0 = cfg.get_float("run", "t0", default=0.0)
     t1 = cfg.get_float("run", "t1", required=True)
     dt = cfg.get_float("run", "dt", required=True)

@@ -7,20 +7,24 @@ reached by power iteration on the compact operator (-Lap + 1)^(-1) (w .),
 whose dominant eigenvalue is 1/mu.  Negating the weight, W = -mu w, turns f
 into a standing wave: u(t) = exp(-it) f solves i u_t - Lap(u) + W u = 0.
 
-The Helmholtz transforms run through spectral.strang_step's kernel with the
-symbol 1 + |xi|^2, so on grids of 2^18 points and up they share its worker
-thread, bit for bit the serial result.
+The Helmholtz operators run on the real half spectrum through
+spectral.real_fourier_multiply with the symbol 1 + |xi|^2: real samples in,
+float64 out, and a complex input as its real and imaginary parts.  On grids
+of 2^18 points and up they share the kernel's worker thread, bit for bit the
+serial result.  ground_pair holds one half spectrum and two real iterates
+for all its iterations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, EmptyConstraintError, PreconditionError
-from .spectral import ComplexField, Grid, _fourier_step, _ksq, gaussian_field, strang_step
+from .spectral import (ComplexField, Grid, _half_ksq, _ksq, gaussian_field,
+                       real_fourier_multiply)
 
 GROUND_TOL = 1e-11  # relative Euler-Lagrange residual at which iteration stops
 GROUND_MAXIT = 3000
@@ -32,14 +36,40 @@ def _symbol(grid: Grid) -> np.ndarray:
     return 1.0 + _ksq(grid)
 
 
+@lru_cache(maxsize=8)
+def _half_symbol(grid: Grid) -> np.ndarray:
+    """1 + |xi|^2 on the half spectrum of a real transform."""
+    return 1.0 + _half_ksq(grid)
+
+
 def helmholtz_apply(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """(-Lap + 1) f via the spectral Laplacian, in one new complex buffer."""
-    return strang_step(f, _symbol(grid))
+    """(-Lap + 1) f via the spectral Laplacian, in one new array: float64 for
+    real f, complex for complex f."""
+    return _helmholtz(f, grid, np.multiply)
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """(-Lap + 1)^(-1) f via the spectral Laplacian, in one new complex buffer."""
-    return _fourier_step(f, _symbol(grid), None, None, True)
+    """(-Lap + 1)^(-1) f via the spectral Laplacian, in one new array:
+    float64 for real f, complex for complex f."""
+    return _helmholtz(f, grid, np.divide)
+
+
+def _helmholtz(f: np.ndarray, grid: Grid, op: np.ufunc, out: Optional[np.ndarray] = None,
+               spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+    """The symbol 1 + |xi|^2 applied by op (np.multiply, or np.divide for
+    the inverse) on the real half spectrum; a complex f as its real and
+    imaginary parts, each in place in that part of a complex out.  out and
+    spectrum are as for real_fourier_multiply, each new when None."""
+    sym = _half_symbol(grid)
+    if not np.iscomplexobj(f):
+        return real_fourier_multiply(f, sym, op, out, spectrum)
+    if out is None:
+        out = np.empty(np.shape(f), dtype=np.complex128)
+    if spectrum is None:
+        spectrum = np.empty(sym.shape, dtype=np.complex128)
+    real_fourier_multiply(f.real, sym, op, out.real, spectrum)
+    real_fourier_multiply(f.imag, sym, op, out.imag, spectrum)
+    return out
 
 
 def h1_norm_sq(f: ComplexField) -> float:
@@ -60,8 +90,11 @@ class GroundPair:
     iterations: int
 
 
-def _residual(fvals: np.ndarray, wvals: np.ndarray, mu: float, grid: Grid) -> float:
-    r = helmholtz_apply(fvals, grid) - mu * wvals * fvals
+def _residual(fvals: np.ndarray, wvals: np.ndarray, mu: float, grid: Grid,
+              r: np.ndarray, spectrum: np.ndarray) -> float:
+    """||(-Lap + 1) f - mu w f||_2 / ||f||_2, formed in the real buffer r."""
+    _helmholtz(fvals, grid, np.multiply, r, spectrum)
+    r -= mu * wvals * fvals
     return float(np.linalg.norm(r) / np.linalg.norm(fvals))
 
 
@@ -83,18 +116,22 @@ def ground_pair(w: ComplexField) -> GroundPair:
 
     f = np.where(wvals > 0, wvals, 0.0)
     f /= np.linalg.norm(f)
+    g = np.empty_like(f)  # the next iterate, solved in place; then the residual
+    spectrum = np.empty(_half_symbol(grid).shape, dtype=np.complex128)
     lam = 0.0
     mu = res = np.inf
     for it in range(1, GROUND_MAXIT + 1):
-        g = np.ascontiguousarray(helmholtz_solve(wvals * f, grid).real)  # one contiguous copy
+        np.multiply(wvals, f, out=g)
+        _helmholtz(g, grid, np.divide, g, spectrum)
         lam = float(np.dot(f.ravel(), g.ravel()))  # L2 Rayleigh quotient, ||f|| = 1
         nrm = np.linalg.norm(g)
         if nrm == 0.0:
             raise ConvergenceError("iteration collapsed to zero; weight too degenerate")
-        f = g / nrm
+        f, g = g, f
+        f /= nrm
         mu = 1.0 / lam
         if it % 5 == 0 or it == GROUND_MAXIT:  # the last iteration is always checked
-            res = _residual(f, wvals, mu, grid)
+            res = _residual(f, wvals, mu, grid, g, spectrum)
             if res < GROUND_TOL:
                 break
     if res >= GROUND_TOL:
@@ -111,8 +148,9 @@ def ground_pair(w: ComplexField) -> GroundPair:
     peak = np.unravel_index(np.argmax(wvals), grid.shape)
     if f[peak] < 0:
         f = -f
-    field = ComplexField(grid, f.astype(np.complex128))
-    return GroundPair(mu=mu, f=field, w=w, residual=res, iterations=it)
+    values = f.astype(np.complex128)
+    values.flags.writeable = False  # so ComplexField keeps it, not a copy
+    return GroundPair(mu=mu, f=ComplexField(grid, values), w=w, residual=res, iterations=it)
 
 
 def constraint_value(gp: GroundPair) -> float:

@@ -48,10 +48,11 @@ def read_snapshot(path: Union[str, Path]) -> ComplexField:
     except Exception as exc:
         raise SnapshotFormatError(f"{path}: invalid grid header ({exc})") from exc
     expected = grid.npoints * 16
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
+    payload = len(raw) - _HEADER.size
+    if payload != expected:
         raise SnapshotFormatError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
+            f"{path}: payload holds {payload} bytes, expected {expected}"
         )
-    values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    return ComplexField(grid, values.astype(np.complex128))
+    # one read-only view of the file bytes, which ComplexField keeps as is
+    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(grid.shape)
+    return ComplexField(grid, values)

@@ -9,15 +9,16 @@ solver's half-phases, the power tables of _sinc_matrix) is unit_phase:
 cos(theta) + i sin(theta) in one complex array, bit for bit what
 np.exp(1j * theta) gives, without its complex product and exp.
 
-strang_step is the one FFT-symbol-FFT kernel: it multiplies by a Fourier
-symbol between the two transforms, or, for groundstate's Helmholtz solve,
-divides by one.  It uses one extra worker thread on grids of at least
-PARALLEL_MIN_POINTS = 2^18 points (64^3, 512^2 and up) when the process
-may run on two or more CPUs, so the ground state's Helmholtz transforms
-share the worker there too; results are bit-identical either way, and
-`taskset -c 0` runs it on one CPU.  There is no option or environment
-variable for it.  The solver's Duhamel sweeps use the same thread on
-smaller grids too (solver.WAVEFRONT_MIN_POINTS).
+strang_step is the propagator's kernel: two complex FFTs around a product
+by a Fourier multiplier.  real_fourier_multiply is the kernel of
+groundstate's Helmholtz operators: on the real half spectrum of rfftn it
+multiplies or divides by a real symbol, real samples in and float64 out,
+at about half the work of complex transforms.  Both use one extra worker
+thread on grids of at least PARALLEL_MIN_POINTS = 2^18 points (64^3, 512^2
+and up) when the process may run on two or more CPUs; results are
+bit-identical either way, and `taskset -c 0` runs them on one CPU.  There
+is no option or environment variable for it.  The solver's Duhamel sweeps
+use the same thread on smaller grids too (solver.WAVEFRONT_MIN_POINTS).
 
 lq_norm_table norms every row (one state, or one row of a stack) of at
 least PARALLEL_MIN_POINTS points with n >= 2 as the two halves of its first
@@ -128,6 +129,13 @@ def _ksq(grid: Grid) -> np.ndarray:
     return out.reshape(grid.shape)
 
 
+@lru_cache(maxsize=8)
+def _half_ksq(grid: Grid) -> np.ndarray:
+    """|xi|^2 on rfftn's half spectrum: the last axis keeps its first
+    N // 2 + 1 frequencies, the Nyquist one's square being that of +-N/2."""
+    return np.ascontiguousarray(_ksq(grid)[..., : grid.N // 2 + 1])
+
+
 def make_grid(n: int, L: float, N: int) -> Grid:
     return Grid(n=n, L=float(L), N=int(N))
 
@@ -216,13 +224,11 @@ def free_multiplier(grid: Grid, t: float) -> np.ndarray:
 
 def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = None,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is a Fourier
-    symbol, for a step of length h the free_multiplier, and phase the
+    """One Strang step P F^-1[kin F(P a)] with two FFTs: kin is the Fourier
+    multiplier of a step of length h (free_multiplier) and phase the
     potential half-phase P = exp(i (h/2) V); phase None (P = 1) makes it
-    exact free propagation.  groundstate's Helmholtz apply is this step
-    with the symbol 1 + |xi|^2 and no phase, and its solve the same kernel
-    dividing by that symbol (_fourier_step), so the ground state's
-    Helmholtz transforms share the worker thread below too.
+    exact free propagation.  It is only the propagator: groundstate's
+    Helmholtz operators are real_fourier_multiply.
 
     P a (or a copy of a) is formed in the result and both FFTs and products
     then run in place, so a is never written and may be read-only.  Given
@@ -234,24 +240,17 @@ def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = No
     points, in a process allowed two or more CPUs, steps in two threads
     (_split_strang_step), bit for bit the serial result.  Never call it on
     the worker thread itself: the step would wait on its own queue."""
-    return _fourier_step(a, kin, phase, out, False)
-
-
-def _fourier_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                  out: Optional[np.ndarray], divide: bool) -> np.ndarray:
-    """strang_step, dividing by the symbol kin in place of multiplying by it
-    when divide is set."""
     if out is None:
         out = np.empty(np.shape(a), dtype=np.complex128)
     if out.ndim >= 2 and out.size >= PARALLEL_MIN_POINTS and _two_cpus():
-        _split_strang_step(a, kin, phase, out, divide)
+        _split_strang_step(a, kin, phase, out)
         return out
-    return _serial_strang_step(a, kin, phase, out, False, divide)
+    return _serial_strang_step(a, kin, phase, out, False)
 
 
 def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                        out: np.ndarray, one_axis: bool, divide: bool = False) -> np.ndarray:
-    """_fourier_step into out on this thread alone, whatever the size; with
+                        out: np.ndarray, one_axis: bool) -> np.ndarray:
+    """strang_step into out on this thread alone, whatever the size; with
     one_axis, every transform is one-axis passes (_transform)."""
     if phase is None:
         np.copyto(out, a)
@@ -259,25 +258,15 @@ def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarr
         np.multiply(phase, a, out=out)
     if one_axis:
         _transform(out, None, False, True)
-        _apply_symbol(kin, out, divide)
+        np.multiply(kin, out, out=out)
         _transform(out, None, True, True)
     else:  # the calls of every serial step, kept free of _transform's dispatch
         np.fft.fftn(out, out=out)
-        _apply_symbol(kin, out, divide)
+        np.multiply(kin, out, out=out)
         np.fft.ifftn(out, out=out)
     if phase is not None:
         np.multiply(phase, out, out=out)
     return out
-
-
-def _apply_symbol(kin: np.ndarray, o: np.ndarray, divide: bool) -> None:
-    """o = kin * o, or with divide o = o / kin, in place.  A division is
-    never a product by 1 / kin: numpy's complex quotient and that product
-    differ in the sign of zero parts."""
-    if divide:
-        np.divide(o, kin, out=o)
-    else:
-        np.multiply(kin, o, out=o)
 
 
 def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
@@ -330,12 +319,11 @@ def _in_two_halves(mine: Callable[[], object], theirs: Callable[[], object]) -> 
 
 
 def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                       out: np.ndarray, divide: bool) -> None:
-    """_fourier_step into out in four stages, each split between this thread
+                       out: np.ndarray) -> None:
+    """strang_step into out in four stages, each split between this thread
     and the worker: (A) halves of axis 0 form P a and transform axes
-    1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin (or
-    divide by it); (C) halves of axis 0 inverse-transform axes 1..n-1;
-    (D) halves of axis 1 inverse-transform axis 0 and multiply by P.
+    1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin;
+    (C) halves of axis 0 inverse-transform axes 1..n-1; (D) halves of axis 1 inverse-transform axis 0 and multiply by P.
 
     numpy's fftn and ifftn transform the last axis first and axis 0 last,
     each axis by the same one-axis pocketfft pass as fft and ifft, so every
@@ -359,7 +347,7 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
     def forward_cols(half):
         o = out[half]
         np.fft.fft(o, axis=0, out=o)
-        _apply_symbol(kin[half], o, divide)
+        np.multiply(kin[half], o, out=o)
 
     def backward_rows(half, mine):
         _transform(out[half], inner, True, not mine)
@@ -376,6 +364,74 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
     _in_two_halves(lambda: backward_cols(left), lambda: backward_cols(right))
 
 
+def real_fourier_multiply(f: np.ndarray, symbol: np.ndarray, op: np.ufunc,
+                          out: Optional[np.ndarray] = None,
+                          spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+    """irfftn(op(rfftn(f), symbol)) over every axis of real f, op being
+    np.multiply or np.divide (never a product by 1 / symbol: numpy's complex
+    quotient and that product differ in the sign of zero parts) and symbol
+    real on rfftn's half spectrum, shape f.shape[:-1] + (N // 2 + 1,).  Real
+    samples have a Hermitian spectrum, so this is about half the work of
+    complex transforms.
+
+    The transform runs in place in spectrum (complex128, symbol's shape) and
+    the result lands in out (float64, f's shape; f itself or a strided view
+    will do), each new when None; out is returned.  The one-axis passes are
+    those of numpy's rfftn and irfftn, in their order.
+
+    An array of two or more axes and at least PARALLEL_MIN_POINTS points, in
+    a process allowed two or more CPUs, runs in three stages split between
+    this thread and the worker (on the worker itself, serially): halves of
+    axis 0 take the rfft and the middle axes' fft, halves of spectrum's
+    axis 1 the passes of axis 0 and op, halves of axis 0 the inverse row
+    passes.  Every lane gets the serial pass, so the bits are the serial
+    ones, and no thread calls the fftn and ifftn a tracer patches."""
+    if spectrum is None:
+        spectrum = np.empty(np.shape(symbol), dtype=np.complex128)
+    if out is None:
+        out = np.empty(np.shape(f))
+    if f.ndim >= 2 and f.size >= PARALLEL_MIN_POINTS and _two_cpus() and not _on_worker():
+        top, bottom = np.s_[: len(f) // 2], np.s_[len(f) // 2:]
+        left, right = np.s_[:, : spectrum.shape[1] // 2], np.s_[:, spectrum.shape[1] // 2:]
+        _in_two_halves(lambda: _rfft_rows(f[top], spectrum[top]),
+                       lambda: _rfft_rows(f[bottom], spectrum[bottom]))
+        _in_two_halves(lambda: _symbol_columns(spectrum[left], symbol[left], op),
+                       lambda: _symbol_columns(spectrum[right], symbol[right], op))
+        _in_two_halves(lambda: _irfft_rows(spectrum[top], out[top]),
+                       lambda: _irfft_rows(spectrum[bottom], out[bottom]))
+    else:
+        _rfft_rows(f, spectrum)
+        _symbol_columns(spectrum, symbol, op)
+        _irfft_rows(spectrum, out)
+    return out
+
+
+def _rfft_rows(f: np.ndarray, h: np.ndarray) -> None:
+    """rfftn's passes but that of axis 0 (when f has other axes): the rfft
+    of f's last axis into h, then the fft of h's middle axes, last first."""
+    np.fft.rfft(f, axis=-1, out=h)
+    for axis in range(h.ndim - 2, 0, -1):
+        np.fft.fft(h, axis=axis, out=h)
+
+
+def _symbol_columns(h: np.ndarray, symbol: np.ndarray, op: np.ufunc) -> None:
+    """h = ifft(op(fft(h), symbol)) along axis 0, in place; op alone for one
+    axis, which is then the last and so the rows'."""
+    if h.ndim > 1:
+        np.fft.fft(h, axis=0, out=h)
+    op(h, symbol, out=h)
+    if h.ndim > 1:
+        np.fft.ifft(h, axis=0, out=h)
+
+
+def _irfft_rows(h: np.ndarray, out: np.ndarray) -> None:
+    """irfftn's passes but that of axis 0: the ifft of h's middle axes,
+    first first, in place, then the irfft of its last axis into out."""
+    for axis in range(1, h.ndim - 1):
+        np.fft.ifft(h, axis=axis, out=h)
+    np.fft.irfft(h, n=out.shape[-1], axis=-1, out=out)
+
+
 def free_propagate(u: ComplexField, t: float) -> ComplexField:
     """Evolve u under i u_t - Lap(u) = 0 for time t (exact on the grid)."""
     if not math.isfinite(t):
@@ -390,10 +446,10 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
     """Spatial L^q norms, for every q of qs, of complex or real floating
     samples by Riemann sum over the trailing grid.n axes: one state gives a
     scalar per q and a stacked (m+1,) + grid.shape array one norm per state.
-    Each norm of a stack is bit for bit that of its row alone as a stack of
-    one, so a stack may be normed row by row.  A state that is not a stack
-    may differ in the last bit for q other than 2 and inf: numpy takes a
-    scalar's root by its C pow and an array's by its vectorized loop.
+    Each norm of a stack is bit for bit that of its row alone, as a single
+    state or as a stack of one, so a stack may be normed row by row: a
+    single state's root is taken on a one-element array, by numpy's
+    vectorized pow as a stack's, not by the scalar C pow.
 
     _norm_sums takes every q's sum (the max for q = inf); the table scales
     and roots each once.  Rows of at least PARALLEL_MIN_POINTS = 2^18 points
@@ -419,7 +475,8 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
         elif float(q) == 2.0:
             table[q] = np.sqrt(total * grid.cell_volume)
         else:
-            table[q] = (total * grid.cell_volume) ** (1.0 / float(q))
+            scaled = np.reshape(total * grid.cell_volume, -1)  # one element for one state
+            table[q] = np.power(scaled, 1.0 / float(q)).reshape(np.shape(total))[()]
     return table
 
 

@@ -357,6 +357,31 @@ class TestCliSimulate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("method", ["split-step", "global"])
+    @pytest.mark.parametrize("summed", [False, True], ids=["static", "sum-term"])
+    def test_profile_on_another_grid_leaves_no_output_directory(self, tmp_path, capsys,
+                                                                 method, summed):
+        cfg = self.make_config(tmp_path, method=method)
+        other = make_grid(1, 12.0, 32)
+        write_snapshot(default_weight(other), tmp_path / "W32.strz")
+        text = cfg.read_text()
+        if summed:
+            text = text.replace(
+                "[potential]\nkind = static\nprofile = W.strz\n",
+                "[potential]\nkind = sum\nterms = 2\n\n"
+                "[potential.term1]\nkind = static\nprofile = W.strz\nr = 2\ns = 2\n\n"
+                "[potential.term2]\nkind = static\nprofile = W32.strz\nr = 2\ns = 2\n")
+        else:
+            text = text.replace("profile = W.strz", "profile = W32.strz")
+        assert "W32.strz" in text
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "[grid]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliSimulateFinalState:
     """strz simulate copies only the final state, and its files still hold
     what a default-stride API run of the same config reports."""

@@ -1,5 +1,6 @@
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,12 +85,12 @@ class TestGroundPair:
 
     def test_one_residual_per_check(self, pair1d, monkeypatch):
         # the residual of the last check is the one reported, not taken again
-        applies = []
-        apply = groundstate.helmholtz_apply
-        monkeypatch.setattr(groundstate, "helmholtz_apply",
-                            lambda f, grid: applies.append(1) or apply(f, grid))
+        checks = []
+        residual = groundstate._residual
+        monkeypatch.setattr(groundstate, "_residual",
+                            lambda *args: checks.append(1) or residual(*args))
         gp = ground_pair(pair1d.w)
-        assert gp.iterations % 5 == 0 and len(applies) == gp.iterations // 5
+        assert gp.iterations % 5 == 0 and len(checks) == gp.iterations // 5
         assert same_bits(gp.residual, pair1d.residual)
 
     def test_empty_constraint(self):
@@ -140,17 +141,41 @@ def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def out_of_place_apply(f, grid):
-    return np.fft.ifftn((1.0 + _ksq(grid)) * np.fft.fftn(f))
+def complex_formula(f, grid, op):
+    """The Helmholtz operator as two complex FFTs over the full spectrum."""
+    return np.fft.ifftn(op(np.fft.fftn(f), 1.0 + _ksq(grid)))
 
 
-def out_of_place_solve(f, grid):
-    return np.fft.ifftn(np.fft.fftn(f) / (1.0 + _ksq(grid)))
+def real_formula(f, grid, op):
+    """The Helmholtz operator on the real half spectrum, spelled with numpy's
+    own rfftn and irfftn; a complex f as its real and imaginary parts."""
+    axes = tuple(range(grid.n))
+    half = (1.0 + _ksq(grid))[..., : grid.N // 2 + 1]
+
+    def part(x):
+        return np.fft.irfftn(op(np.fft.rfftn(x, axes=axes), half), s=grid.shape, axes=axes)
+
+    if not np.iscomplexobj(f):
+        return part(f)
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out.real, out.imag = part(f.real), part(f.imag)
+    return out
+
+
+def complex_helmholtz(f, grid, op, out=None, spectrum=None):
+    """groundstate._helmholtz by complex_formula, for the real iterates of
+    ground_pair."""
+    res = complex_formula(f, grid, op)
+    if out is None:
+        return res if np.iscomplexobj(f) else res.real.copy()
+    out[...] = res if np.iscomplexobj(out) else res.real
+    return out
 
 
 # 2^18 points each (spectral.PARALLEL_MIN_POINTS), then grids below it
 SPLIT_GRIDS = [(3, 64), (2, 512)]
 SERIAL_GRIDS = [(3, 32), (2, 256), (1, 64)]
+ONE_AXIS_FFTS = {"rfft", "fft", "ifft", "irfft"}
 
 
 class TestHelmholtz:
@@ -159,7 +184,7 @@ class TestHelmholtz:
         """Names of the np.fft calls made off the calling thread."""
         main = threading.get_ident()
         calls = []
-        for name in ("fft", "ifft", "fftn", "ifftn"):
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 if threading.get_ident() != main:
                     calls.append(_name)
@@ -184,18 +209,22 @@ class TestHelmholtz:
         split = two_cpus and grid.npoints >= spectral.PARALLEL_MIN_POINTS
         for f in (real, cplx) + zeros:
             before = f.copy()
-            for helper, reference in ((helmholtz_apply, out_of_place_apply),
-                                      (helmholtz_solve, out_of_place_solve)):
+            for helper, op in ((helmholtz_apply, np.multiply), (helmholtz_solve, np.divide)):
                 worker_ffts.clear()
-                assert same_bits(helper(f, grid), reference(f, grid))
-                assert set(worker_ffts) == ({"fft", "ifft"} if split else set())
+                got = helper(f, grid)
+                assert set(worker_ffts) == (ONE_AXIS_FFTS if split else set())
+                assert same_bits(got, real_formula(f, grid, op))
+                # real in, float64 out; the complex formula agrees to roundoff
+                assert got.dtype == (np.complex128 if np.iscomplexobj(f) else np.float64)
+                old = complex_formula(f, grid, op)
+                assert np.abs(got - old).max() <= 1e-14 * np.abs(old).max()
             assert same_bits(f, before)
 
     def test_ground_pair_split_path_bit_identical(self, monkeypatch, worker_ffts):
         w = default_weight(make_grid(3, 8.0, 64))
         monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
         split = ground_pair(w)
-        assert set(worker_ffts) == {"fft", "ifft"}  # no fftn or ifftn off this thread
+        assert set(worker_ffts) == ONE_AXIS_FFTS  # no n-axis transform off this thread
         monkeypatch.setattr(spectral, "_two_cpus", lambda: False)
         serial = ground_pair(w)
         assert split.iterations == serial.iterations
@@ -218,11 +247,37 @@ class TestHelmholtz:
             assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
 
     def test_ground_pair_matches_out_of_place_helmholtz(self, pair1d, monkeypatch):
-        monkeypatch.setattr(groundstate, "helmholtz_apply", out_of_place_apply)
-        monkeypatch.setattr(groundstate, "helmholtz_solve", out_of_place_solve)
+        monkeypatch.setattr(groundstate, "_helmholtz", complex_helmholtz)
         ref = ground_pair(pair1d.w)
         assert ref.iterations == pair1d.iterations
-        assert abs(pair1d.mu - ref.mu) <= 1e-12 * ref.mu
+        assert abs(pair1d.mu - ref.mu) <= 1e-15 * ref.mu
+        assert np.abs(pair1d.f.values - ref.f.values).max() <= 1e-15 * np.abs(ref.f.values).max()
+
+    @pytest.mark.parametrize("n, N", [(2, 128), (3, 32)])
+    def test_ground_pair_matches_the_complex_formula(self, n, N, monkeypatch):
+        w = default_weight(make_grid(n, 8.0, N))
+        got = ground_pair(w)
+        monkeypatch.setattr(groundstate, "_helmholtz", complex_helmholtz)
+        ref = ground_pair(w)
+        assert ref.iterations == got.iterations
+        assert abs(got.mu - ref.mu) <= 1e-15 * ref.mu
+        assert np.abs(got.f.values - ref.f.values).max() <= 1e-15 * np.abs(ref.f.values).max()
+
+    def test_ground_pair_peak_does_not_grow_with_iterations(self, monkeypatch):
+        # one half spectrum and two real iterates serve every iteration
+        w = default_weight(make_grid(2, 8.0, 128))
+        ground_pair(w)  # fills the grid's symbol caches
+        peaks, iterations = [], []
+        for tol in (1e-3, groundstate.GROUND_TOL):
+            monkeypatch.setattr(groundstate, "GROUND_TOL", tol)
+            tracemalloc.start()
+            try:
+                iterations.append(ground_pair(w).iterations)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert iterations[0] < iterations[1]
+        assert peaks[1] <= peaks[0] + 4096
 
 
 class TestStandingWave:

@@ -396,6 +396,87 @@ class TestSplitStrangStep:
         assert same_bits(strang_step(a, kin, phase), expected)
 
 
+def real_formula(f, sym, op):
+    """real_fourier_multiply's serial arithmetic: numpy's own rfftn and
+    irfftn over every axis around one op."""
+    axes = tuple(range(f.ndim))
+    return np.fft.irfftn(op(np.fft.rfftn(f, axes=axes), sym), s=f.shape, axes=axes)
+
+
+def real_operands(n, N):
+    grid = make_grid(n, 8.0, N)
+    f = np.random.default_rng(N + n).standard_normal(grid.shape)
+    return f, 1.0 + spectral._half_ksq(grid)
+
+
+class TestRealFourierMultiply:
+    """The real half-spectrum multiplier: grids of PARALLEL_MIN_POINTS
+    points and up run in two threads when two or more CPUs are allowed,
+    with the serial formula's bits either way."""
+
+    @pytest.fixture
+    def worker_ffts(self, monkeypatch):
+        """Names of the np.fft calls made off the calling thread."""
+        main = threading.get_ident()
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                if threading.get_ident() != main:
+                    calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS + [(3, 32), (2, 128), (1, 64)])
+    @pytest.mark.parametrize("op", [np.multiply, np.divide])
+    @pytest.mark.parametrize("two_cpus", [True, False])
+    def test_bit_identical_to_serial(self, n, N, op, two_cpus, monkeypatch, worker_ffts):
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: two_cpus)
+        f, sym = real_operands(n, N)
+        f.flags.writeable = False
+        got = spectral.real_fourier_multiply(f, sym, op)
+        assert got.dtype == np.float64 and got.shape == f.shape
+        assert same_bits(got, real_formula(f, sym, op))
+        split = two_cpus and f.size >= spectral.PARALLEL_MIN_POINTS
+        # the worker makes one-axis passes only
+        assert set(worker_ffts) == ({"rfft", "fft", "ifft", "irfft"} if split else set())
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
+    def test_one_cpu_takes_the_serial_path(self, n, N, monkeypatch, worker_ffts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        f, sym = real_operands(n, N)
+        assert same_bits(spectral.real_fourier_multiply(f, sym, np.divide),
+                         real_formula(f, sym, np.divide))
+        assert worker_ffts == []
+
+    @pytest.mark.parametrize("n, N", SPLIT_GRIDS + [(2, 32)])
+    def test_in_place_and_into_a_strided_out(self, n, N):
+        f, sym = real_operands(n, N)
+        expected = real_formula(f, sym, np.divide)
+        spectrum = np.empty(sym.shape, dtype=np.complex128)
+        cplx = np.zeros(f.shape, dtype=np.complex128)
+        got = spectral.real_fourier_multiply(f, sym, np.divide, cplx.imag, spectrum)
+        assert np.shares_memory(got, cplx) and same_bits(cplx.imag, expected)
+        assert not cplx.real.any()
+        assert spectral.real_fourier_multiply(f, sym, np.divide, f, spectrum) is f
+        assert same_bits(f, expected)
+
+    def test_buffers_allocate_no_grid(self):
+        f, sym = real_operands(3, 64)
+        out, spectrum = np.empty_like(f), np.empty(sym.shape, dtype=np.complex128)
+        spectral.real_fourier_multiply(f, sym, np.multiply, out, spectrum)  # warm the plans
+        tracemalloc.start()
+        try:
+            spectral.real_fourier_multiply(f, sym, np.multiply, out, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most the ufunc's buffers for casting the real symbol (three
+        # operands of np.getbufsize() complex entries, one set per thread)
+        assert peak <= 2 * 3 * 16 * np.getbufsize() + 0.05 * f.nbytes
+
+
 class TestLqNorm:
     def test_constant_field(self):
         g = make_grid(1, 4.0, 64)
@@ -465,6 +546,12 @@ class TestLqNorm:
         assert errs[1] / errs[2] > 4
 
 
+def array_root(scaled, qf):
+    """scaled^(1/qf) by numpy's vectorized pow, a single state's sum as a
+    one-element array."""
+    return np.power(np.reshape(scaled, -1), 1.0 / qf).reshape(np.shape(scaled))[()]
+
+
 def per_q_norms(values, grid, q):
     """One q at a time, by the operations of a per-q pass: |u| first, then
     the max, sqrt of the summed squares, or the root of the summed powers."""
@@ -475,7 +562,7 @@ def per_q_norms(values, grid, q):
     qf = float(Exponent(q))
     if qf == 2.0:
         return np.sqrt(np.square(mod).sum(axis=axes) * grid.cell_volume)
-    return (np.power(mod, qf).sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+    return array_root(np.power(mod, qf).sum(axis=axes) * grid.cell_volume, qf)
 
 
 class TestLqNormTable:
@@ -501,6 +588,22 @@ class TestLqNormTable:
             else:
                 np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(lq_norms(values, g, q), got)
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 8)])
+    def test_a_state_has_its_stack_row_bits(self, n, N):
+        # a single state's root is the vectorized pow of a stack's rows, not
+        # numpy's scalar C pow, which differs in the last bit for some sums
+        g = make_grid(n, 4.0, N)
+        rng = np.random.default_rng(10 + n)
+        shape = (50,) + g.shape
+        stack = rng.uniform(0.1, 3.0, (50,) + (1,) * n) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        qs = (4, 6, 8, "8/3")
+        rows = lq_norm_table(stack, g, qs)
+        for i, row in enumerate(stack):
+            single = lq_norm_table(row, g, qs)
+            for q in qs:
+                assert same_bits(single[Exponent(q)], rows[Exponent(q)][i]), (i, q)
 
     def test_input_untouched(self):
         g = make_grid(2, 4.0, 8)
@@ -548,9 +651,9 @@ def whole_array_table(values, grid, qs):
                 total = total.reshape(sq.shape[:-grid.n])
             else:
                 total = np.einsum(spec, *[sq] * factors)
-            table[q] = (total * grid.cell_volume) ** (1.0 / qf)
+            table[q] = array_root(total * grid.cell_volume, qf)
         elif not q.is_infinite:
-            table[q] = (np.power(mod, qf).sum(axis=axes) * grid.cell_volume) ** (1.0 / qf)
+            table[q] = array_root(np.power(mod, qf).sum(axis=axes) * grid.cell_volume, qf)
     return table
 
 
@@ -861,6 +964,22 @@ class TestSnapshot:
         v = read_snapshot(path)
         assert v.grid == g
         np.testing.assert_array_equal(v.values, u.values)
+
+    def test_read_holds_one_copy_of_the_file(self, tmp_path):
+        # the field is a read-only view of the file's bytes, not a copy of them
+        g = make_grid(3, 5.0, 32)
+        u = random_field(g, 12)
+        path = tmp_path / "field.strz"
+        write_snapshot(u, path)
+        tracemalloc.start()
+        try:
+            v = read_snapshot(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * path.stat().st_size
+        assert not v.values.flags.writeable
+        assert same_bits(v.values, u.values)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.strz"
