@@ -19,9 +19,10 @@ cos and sin, bit for bit the complex exp of i (h/2) V.
 The discrete Duhamel map is the trapezoid rule at the sampling dt, written as
 a recursion on its own output with the one-step propagator K = exp(ih Lap):
 out[j+1] = K(out[j] + b_j) + b_{j+1} with b = i(h/2)(V v - F), from
-out[0] = u0.  One sweep costs O(steps) FFTs; with b = 0 it is the free evolution.
-A sweep writes each row in place, through one grid buffer besides its output
-stack, so it allocates nothing per row.
+out[0] = u0.  One sweep costs O(steps) FFTs; with b = 0 it is the free
+evolution.  A sweep writes each row in place, through one grid buffer
+besides its output stack, so it allocates nothing per row, and a piece
+returns its final iterate as that stack, read-only.
 
 The sweeps of a piece share two stacks, each sweep written over the one two
 before it.  On grids of at least WAVEFRONT_MIN_POINTS = 2^13 points (1D
@@ -192,6 +193,13 @@ class SolveReport:
         return d
 
 
+def _frozen_copy(grid: Grid, values: np.ndarray) -> ComplexField:
+    """A field of one read-only copy of values, never a view of a stack."""
+    copy = values.copy()
+    copy.flags.writeable = False
+    return ComplexField(grid, copy)
+
+
 def _check_buffers(fields: float, grid: Grid) -> None:
     """Refuse a request for more complex grid fields than physical memory holds."""
     need = fields * grid.npoints * 16
@@ -207,8 +215,8 @@ class _Recorder:
     states fit in about STORE_BUDGET bytes); logs each sample's L^q
     norm for q = 2 (the energy log) and each q of the pairs; and builds the
     SolveReport from them.  It copies the state of every kept index, or with
-    keep_states False only the final state, and refuses before the first
-    step to copy more than physical memory holds."""
+    keep_states False only the final state (_frozen_copy), and refuses before
+    the first step to copy more than physical memory holds."""
 
     def __init__(self, grid: Grid, m: int,
                  pairs: Optional[Sequence[Tuple[ExponentLike, ExponentLike]]],
@@ -233,7 +241,7 @@ class _Recorder:
         for q, norm in lq_norm_table(values, self.grid, self.norms).items():
             self.norms[q][j] = norm
         if j == self.copied[len(self.stored)]:
-            self.stored.append(ComplexField(self.grid, values))
+            self.stored.append(_frozen_copy(self.grid, values))
         self.j += 1
 
     def report(self, **fields) -> SolveReport:
@@ -297,7 +305,8 @@ def split_step_evolve(
 
 @dataclass
 class DuhamelResult:
-    trajectory: Trajectory
+    times: np.ndarray  # the m + 1 nodes of the piece
+    states: np.ndarray  # the final iterate, one read-only (m + 1,) + grid.shape stack
     factors: List[float]
     iterations: int
     residual: float  # Z-norm of Phi(v) - v relative to Z-norm of v
@@ -488,9 +497,9 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
-    # the two sweep stacks and the states, checked before any sample_key call;
-    # then with the samples kept: half a field per real V sample, one per V key
-    # (per node when the key is None), and one field per node of a callable F
+    # two sweep stacks and one of norm temporaries and grid buffers, before any
+    # sample_key call; then with the samples kept: half a field per real V
+    # sample, one per V key (per node for key None), one per node of callable F
     _check_buffers(3 * (m + 1), grid)
     keys = [V.sample_key(t) for t in times.tolist()]
     samples = (keys.count(None) + len(set(keys) - {None})) / 2 + (m + 1) * callable(F)
@@ -511,14 +520,11 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
 
     iterations, factors = chain.iterations, chain.factors
     v, res_abs = chain.stacks[iterations % 2], chain.z[iterations + 1]
-    del chain  # drop the residual sweep's stack before the states are copied
-    norms = lq_norm_table(v, grid, (TWO, endpoint_q(grid.n)))
-    vnorm = _z_norm(times, norms, grid)
+    del chain  # drop the residual sweep's stack
+    v.flags.writeable = False
+    vnorm = _z_norm(times, lq_norm_table(v, grid, (TWO, endpoint_q(grid.n))), grid)
     residual = res_abs / vnorm if vnorm > 0 else res_abs
-    states = [ComplexField(grid, v[j]) for j in range(m + 1)]
-    traj = Trajectory(times=times, states=states, energy_log=norms[TWO])
-    return DuhamelResult(trajectory=traj, factors=factors, iterations=iterations,
-                         residual=residual)
+    return DuhamelResult(times, v, factors, iterations, residual)
 
 
 def solve_global(
@@ -544,21 +550,16 @@ def solve_global(
     only the final one."""
     part = partition_interval(V, r, s, interval, tau, dt, grid=u0.grid)
     rec = _Recorder(u0.grid, part.slice_count, pairs, store_every, keep_states)
-    factors: List[List[float]] = []
-    iterations: List[int] = []
-    residuals: List[float] = []
-    state = u0
-    for idx, (a, b) in enumerate(part.pieces):
+    logs = []  # per piece: contraction factors, iterations and residual
+    state, skip = u0, 0  # a later piece's start repeats the previous terminal state
+    for a, b in part.pieces:
         result = duhamel_iterate(state, F, V, (a, b), part.dt, tol)
-        factors.append(result.factors)
-        iterations.append(result.iterations)
-        residuals.append(result.residual)
-        tr = result.trajectory
-        skip = 1 if idx > 0 else 0  # piece start duplicates previous terminal state
-        for t, u in zip(tr.times[skip:].tolist(), tr.states[skip:]):
-            rec.add(t, u.values)
-        state = tr.states[-1]
-        del result, tr  # hold one piece at a time
+        logs.append((result.factors, result.iterations, result.residual))
+        for t, row in zip(result.times[skip:].tolist(), result.states[skip:]):
+            rec.add(t, row)
+        state, skip = _frozen_copy(u0.grid, result.states[-1]), 1
+        del result, row  # hold one piece at a time: a row view pins its stack
+    factors, iterations, residuals = (list(log) for log in zip(*logs))
     k = len(part.pieces)
     c_hat = 1.0 / (2.0 * tau)
     return rec.report(contraction_factors=factors, partition=part, iterations=iterations,

@@ -323,7 +323,8 @@ def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarra
     """strang_step into out in four stages, each split between this thread
     and the worker: (A) halves of axis 0 form P a and transform axes
     1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin;
-    (C) halves of axis 0 inverse-transform axes 1..n-1; (D) halves of axis 1 inverse-transform axis 0 and multiply by P.
+    (C) halves of axis 0 inverse-transform axes 1..n-1; (D) halves of axis
+    1 inverse-transform axis 0 and multiply by P.
 
     numpy's fftn and ifftn transform the last axis first and axis 0 last,
     each axis by the same one-axis pocketfft pass as fft and ifft, so every
@@ -635,10 +636,7 @@ def _sinc_matrix(grid: Grid, eps: float) -> Tuple[np.ndarray, int]:
     fine = unit_phase(np.outer(theta, np.arange(B)))
     fine /= N
     coarse = unit_phase(np.outer(theta, B * np.fft.fftfreq(N // B, B / N)))
-    E = np.empty((len(theta), N // B, B), dtype=np.complex128)
-    for c in range(N // B):  # one product per coarse column, no 3-D broadcast temporary
-        np.multiply(coarse[:, c, None], fine, out=E[:, c, :])
-    E = E.reshape(len(theta), N)  # k in fftfreq order
+    E = (coarse[:, :, None] * fine[:, None, :]).reshape(len(theta), N)  # k in fftfreq order
     nyq = N // 2
     E[:, nyq] = E[:, nyq].real
     np.fft.fftn(E, axes=(1,), out=E)
@@ -663,8 +661,8 @@ def rescale_field(values: np.ndarray, grid: Grid, eps: float,
     the tolerated |u|^2 mass in the outer shell of the box, since in that
     case the periodic images contaminate the samples.
     """
-    if not eps > 0:
-        raise PreconditionError(f"rescale factor must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise PreconditionError(f"rescale factor must be positive and finite, got {eps}")
     if eps == 1.0:
         return values
     check_support(values, grid, mass_tol, "rescale input")

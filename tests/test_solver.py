@@ -85,13 +85,18 @@ def stack_z_norm(times, stack, grid):
     return solver._z_norm(times, lq_norm_table(stack, grid, (2, endpoint_q(grid.n))), grid)
 
 
-def linf_l2_gap(traj_a, traj_b, scale):
-    vol = traj_a.grid.cell_volume
+def linf_l2_gap(states_a, states_b, grid, scale):
+    vol = grid.cell_volume
     diffs = [
-        np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * vol)
-        for a, b in zip(traj_a.states, traj_b.states)
+        np.sqrt(np.sum(np.abs(a - b) ** 2) * vol)
+        for a, b in zip(states_a, states_b)
     ]
     return max(diffs) / scale
+
+
+def report_states(rep):
+    """The states a solve report keeps, as arrays."""
+    return [s.values for s in rep.trajectory.states]
 
 
 def standing_wave_probe(grid, u0):
@@ -454,9 +459,9 @@ class TestDuhamel:
         res = duhamel_iterate(u0, None, ZeroPotential(), (0.0, 0.5), dt=0.01)
         assert res.iterations == 1
         assert res.residual == 0.0 and res.factors == []
-        for t, s in zip(res.trajectory.times, res.trajectory.states):
+        for t, s in zip(res.times, res.states):
             exact = free_propagate(u0, float(t))
-            assert np.abs(s.values - exact.values).max() < 1e-10
+            assert np.abs(s - exact.values).max() < 1e-10
 
     def test_zero_potential_with_source(self, standing1d):
         # Phi does not depend on v when V = 0: fixed point after one
@@ -482,7 +487,7 @@ class TestDuhamel:
         assert res.iterations == iterations > 2
         assert res.factors == factors
         assert res.residual == residual
-        np.testing.assert_array_equal(np.array([s.values for s in res.trajectory.states]), v)
+        np.testing.assert_array_equal(res.states, v)
 
     def test_contraction_and_residual(self, standing1d):
         grid, W, u0 = standing1d
@@ -509,7 +514,7 @@ class TestDuhamel:
         res = duhamel_iterate(u0, None, StaticPotential(W), (0.0, 0.25), dt=0.005)
         rep = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 0.25), dt=0.005,
                                 store_every=1)
-        assert linf_l2_gap(res.trajectory, rep.trajectory, lq_norm(u0, 2)) < 1e-3
+        assert linf_l2_gap(res.states, report_states(rep), grid, lq_norm(u0, 2)) < 1e-3
 
     def test_non_contraction_error(self, standing1d):
         grid, W, u0 = standing1d
@@ -540,7 +545,7 @@ class TestDuhamel:
 
     def test_buffers_count_the_kept_samples(self, monkeypatch):
         # a pseudoconformal V keeps one real sample per node (half a stack) and
-        # a callable F one more field per node: v, Phi(v), the states and those
+        # a callable F one more field per node: the three stacks checked and those
         # two make 4.5 stacks of 41 nodes, which 4.25 stacks of memory cannot hold
         def never(*args):
             raise AssertionError("the potential was sampled before the size check")
@@ -554,8 +559,8 @@ class TestDuhamel:
             duhamel_iterate(u0, lambda t: u0, V, (0.8, 1.0), dt=0.005)
 
     def test_peak_memory_three_stacks(self):
-        # one 2D N=64 piece of 41 nodes: v, Phi(v) and the returned states
-        # (the real |.|^q temporaries of a Z-norm add half a stack)
+        # one 2D N=64 piece of 41 nodes: v, Phi(v) and the real |.|^q
+        # temporaries of a Z-norm (half a stack), within the three checked
         grid = make_grid(2, 10.0, 64)
         u0 = gaussian_field(grid, sigma=1.0)
         V = StaticPotential(real_profile(grid, u0.values.real))
@@ -587,10 +592,10 @@ class TestDuhamelOrder:
     the standing wave exp(-it) u0, halving dt quarters the L^inf_t L^2 error."""
 
     @staticmethod
-    def error(traj, u0):
+    def error(times, states, u0):
         vol = u0.grid.cell_volume
-        return max(np.sqrt(np.sum(np.abs(s.values - np.exp(-1j * t) * u0.values) ** 2) * vol)
-                   for t, s in zip(traj.times, traj.states)) / lq_norm(u0, 2)
+        return max(np.sqrt(np.sum(np.abs(s - np.exp(-1j * t) * u0.values) ** 2) * vol)
+                   for t, s in zip(times, states)) / lq_norm(u0, 2)
 
     @pytest.mark.parametrize("dim", ["standing1d", "standing2d", "standing3d"])
     @pytest.mark.parametrize("route", ["duhamel", "global"])
@@ -602,11 +607,13 @@ class TestDuhamelOrder:
         errors = []
         for dt in (0.02, 0.01, 0.005):
             if route == "global":
-                traj = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=tau, dt=dt, tol=1e-12,
-                                    pairs=[], store_every=1).trajectory
+                rep = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=tau, dt=dt, tol=1e-12,
+                                   pairs=[], store_every=1)
+                times, states = rep.trajectory.times, report_states(rep)
             else:
-                traj = duhamel_iterate(u0, None, V, (0.0, 0.25), dt, tol=1e-12).trajectory
-            errors.append(self.error(traj, u0))
+                res = duhamel_iterate(u0, None, V, (0.0, 0.25), dt, tol=1e-12)
+                times, states = res.times, res.states
+            errors.append(self.error(times, states, u0))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert orders.min() >= 1.9, orders
 
@@ -623,7 +630,7 @@ class TestDuhamelOrder:
         for dt in (0.01, 0.005, 0.0025):
             res = duhamel_iterate(u0, F, V, (0.8, 1.0), dt, tol=1e-12)
             rep = split_step_evolve(u0, V, F=F, interval=(0.8, 1.0), dt=dt, store_every=1)
-            gaps.append(linf_l2_gap(res.trajectory, rep.trajectory, lq_norm(u0, 2)))
+            gaps.append(linf_l2_gap(res.states, report_states(rep), grid, lq_norm(u0, 2)))
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert orders.min() >= 1.9, orders
 
@@ -669,8 +676,8 @@ class TestDuhamelFixedPoint:
             V, piece = PatchedRescaledPotential(W, sched), (0.4, 0.6)
         res = duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-13, maxit=60)
         times, exact = self.implicit_sweep(u0, F, V, piece, 0.005)
-        np.testing.assert_array_equal(res.trajectory.times, times)
-        gap = max(lq_norms(s.values - e, grid, 2) for s, e in zip(res.trajectory.states, exact))
+        np.testing.assert_array_equal(res.times, times)
+        gap = max(lq_norms(s - e, grid, 2) for s, e in zip(res.states, exact))
         assert gap <= 1e-12 * max(lq_norms(np.array(exact), grid, 2)), gap
 
 
@@ -724,7 +731,7 @@ class TestSolveGlobal:
                            dt=0.01, pairs=[], store_every=1)
         single = duhamel_iterate(u0, None, StaticPotential(W), (0.0, 0.5), dt=0.01)
         assert rep.pieces == 1
-        gap = linf_l2_gap(rep.trajectory, single.trajectory, lq_norm(u0, 2))
+        gap = linf_l2_gap(report_states(rep), single.states, grid, lq_norm(u0, 2))
         assert gap < 1e-12
 
     def test_chained_matches_split_step(self, standing1d):
@@ -735,7 +742,7 @@ class TestSolveGlobal:
         assert rep.pieces >= 2
         ss = split_step_evolve(u0, StaticPotential(W), interval=(0.0, 2.0), dt=0.005,
                                store_every=1)
-        assert linf_l2_gap(rep.trajectory, ss.trajectory, lq_norm(u0, 2)) < 1e-3
+        assert linf_l2_gap(report_states(rep), report_states(ss), grid, lq_norm(u0, 2)) < 1e-3
         assert rep.energy_drift < 1e-6
 
     @pytest.fixture
@@ -847,10 +854,8 @@ def assert_same_piece(got, want):
     assert got.iterations == want.iterations
     assert same_bits(got.factors, want.factors)
     assert same_bits(got.residual, want.residual)
-    assert same_bits(got.trajectory.times, want.trajectory.times)
-    assert same_bits(got.trajectory.energy_log, want.trajectory.energy_log)
-    assert same_bits([s.values for s in got.trajectory.states],
-                     [s.values for s in want.trajectory.states])
+    assert same_bits(got.times, want.times)
+    assert same_bits(got.states, want.states)
 
 
 def serially(monkeypatch, call):
@@ -992,7 +997,7 @@ class TestWavefront:
             monkeypatch, lambda: duhamel_iterate(u0, F, V, piece, 0.005, tol=1e-10)))
         v, iterations, factors, residual = reference_duhamel(u0, F, V, piece, 0.005, tol=1e-10)
         assert (got.iterations, got.factors, got.residual) == (iterations, factors, residual)
-        assert same_bits([s.values for s in got.trajectory.states], v)
+        assert same_bits(got.states, v)
 
     def test_zero_potential_stops_after_first_iteration(self, standing2d, monkeypatch,
                                                         small_grids, worker_ffts):
@@ -1080,7 +1085,7 @@ class TestWavefront:
         assert u0.grid.npoints >= spectral.PARALLEL_MIN_POINTS
         piece = (0.0, 0.08)  # 9 nodes: the shortest wavefront piece
         expected = serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, piece, 0.01))
-        assert len(expected.trajectory.times) == 9
+        assert len(expected.times) == 9
         run_in_fork(_wavefront_in_child, (u0, V, piece, 0.01, expected,
                                           spectral._worker(os.getpid())))
 
@@ -1099,8 +1104,8 @@ class TestWavefront:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack = len(res.trajectory.times) * 64**2 * 16
-        assert worker_ffts and len(res.trajectory.times) in (9, 41)
+        stack = len(res.times) * 64**2 * 16
+        assert worker_ffts and len(res.times) in (9, 41)
         assert peak <= stacks * stack, peak / stack
 
     def test_fftn_calls_on_the_caller_twice_per_row(self, monkeypatch, two_cpus):
@@ -1122,6 +1127,102 @@ class TestWavefront:
         calls[0] = 0
         serially(monkeypatch, lambda: duhamel_iterate(u0, None, V, (0.0, 0.16), 0.01))
         assert calls[0] == 2 * m * (res.iterations + 2)
+
+
+class TestPieceStack:
+    """duhamel_iterate returns its final iterate as one read-only stack, from
+    the serial and the wavefront chain alike; solve_global feeds the rows to
+    the recorder and copies only the states it keeps or starts a piece from."""
+
+    @pytest.mark.parametrize("chain", ["serial", "wavefront"])
+    def test_read_only_stack_of_the_reference_rows(self, standing2d, monkeypatch, chain):
+        grid, W, u0 = standing2d
+        wavefront = chain == "wavefront"
+        monkeypatch.setattr(solver, "WAVEFRONT_MIN_POINTS", 1 if wavefront else math.inf)
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: wavefront)
+        main, threads = threading.get_ident(), set()
+
+        def fft(*args, _fn=np.fft.fft, **kwargs):
+            threads.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", fft)
+        V, piece = StaticPotential(W), (0.0, 0.25)
+        res = duhamel_iterate(u0, None, V, piece, 0.005, tol=1e-10)
+        assert (threads - {main} != set()) == wavefront
+        v, iterations, _, _ = reference_duhamel(u0, None, V, piece, 0.005, tol=1e-10)
+        assert res.iterations == iterations > 2
+        assert same_bits(res.times, time_lattice(piece, 0.005)[0])
+        assert type(res.states) is np.ndarray and res.states.shape == (51,) + grid.shape
+        assert not res.states.flags.writeable
+        assert same_bits(res.states, v)
+        with pytest.raises(ValueError, match="read-only"):
+            res.states[1] = 0.0
+
+    def test_global_solve_builds_a_field_per_piece(self, monkeypatch):
+        # one copy of each piece's last row, the next piece's start or the
+        # final kept state: no field per row
+        u0, V = static_piece(2, 16, amplitude=-0.5)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return ComplexField(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "ComplexField", counted)
+        rep = solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=0.3, dt=0.01, pairs=[],
+                           keep_states=False)
+        assert rep.pieces >= 3 and len(rep.times) == 101
+        assert 0 < len(built) <= rep.pieces + 1
+
+    def test_no_stack_outlives_the_solve(self):
+        # 2D N=64, pieces of about 22 nodes: a kept state that viewed its row
+        # would pin that piece's whole stack
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = StaticPotential(real_profile(grid, -0.5 * u0.values.real))
+
+        def solve():
+            return solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=0.3, dt=5e-3, pairs=[],
+                                store_every=40)
+
+        solve()  # numpy's lazy imports (numpy.ma, from union1d) are not traced
+        tracemalloc.start()
+        try:
+            rep = solve()
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept = rep.trajectory.states
+        assert rep.pieces >= 5 and len(kept) == 6
+        assert all(s.values.base is None and not s.values.flags.writeable for s in kept)
+        field = grid.npoints * 16
+        assert current <= (len(kept) + 2) * field, current / field
+
+    def test_peak_is_one_piece_and_a_few_fields(self):
+        # a row view left over from one piece would pin its stack (23 nodes
+        # here) through the next piece
+        grid = make_grid(2, 10.0, 64)
+        u0 = gaussian_field(grid, sigma=1.0)
+        V = StaticPotential(real_profile(grid, -0.5 * u0.values.real))
+        part = partition_interval(V, 2, 2, (0.0, 1.0), 0.3, 5e-3, grid=grid)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def solve():
+            return solve_global(u0, None, V, (0.0, 1.0), 2, 2, tau=0.3, dt=5e-3, pairs=[],
+                                keep_states=False)
+
+        solve()  # numpy's lazy imports are not traced
+        piece = max(peak(lambda: duhamel_iterate(u0, None, V, p, part.dt)) for p in part)
+        assert len(part) >= 5
+        assert peak(solve) <= piece + 3 * grid.npoints * 16
 
 
 class TestStoreBudget:

@@ -821,8 +821,9 @@ class TestRescale:
     def test_invalid_eps(self):
         g = make_grid(1, 8.0, 64)
         u = gaussian_field(g)
-        with pytest.raises(PreconditionError):
-            rescale_field(u.values, g, -1.0)
+        for eps in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(PreconditionError):
+                rescale_field(u.values, g, eps)
 
 
 def dense_rescale(u, eps):
@@ -900,7 +901,7 @@ class TestSincKernel:
     @pytest.mark.parametrize("eps", KERNEL_EPS + (0.5, 3.0, 1 / 0.75, 0.3))
     @pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
     def test_matches_broadcast_build(self, N, eps):
-        # the block built column block by column block from unit_phase tables
+        # the block built by one broadcast product of unit_phase tables
         # equals, bit for bit, the in-box rows of the one 3-D broadcast of
         # complex-exp tables, whose escaped rows are exactly zero
         g = make_grid(1, 16.0, N)
