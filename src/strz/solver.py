@@ -29,8 +29,10 @@ before it.  On grids of at least WAVEFRONT_MIN_POINTS = 2^13 points (1D
 N = 8192, 128^2, 32^3 and up), in a process allowed two or more CPUs,
 spectral's one extra worker thread makes the odd sweeps while the caller
 makes the even ones, each sweep one row behind the one before it
-(_SweepChain).  Results are bit-identical either way, `taskset -c 0` keeps
-everything on one CPU, and there is no option or environment variable for it.
+(_SweepChain), and each thread steps serially: a split step would queue the
+caller's half behind the worker's sweeps.  Results are bit-identical either
+way, `taskset -c 0` keeps everything on one CPU, and there is no option or
+environment variable for it.
 """
 from __future__ import annotations
 
@@ -350,17 +352,15 @@ class _SweepChain:
         self.failed = False
         self.cond = threading.Condition()
 
-    def run(self, first: int, stride: int, one_axis: bool = False) -> None:
+    def run(self, first: int, stride: int) -> None:
         """Make sweeps first, first + stride, ... for as long as the decisions
-        call for them, deciding after each.  Steps stay on this thread (with
-        one_axis, in one-axis transforms); an error tells the other thread
-        to stop before it is raised."""
+        call for them, deciding after each.  Steps stay on this thread; an
+        error tells the other thread to stop before it is raised."""
         try:
             buf = np.empty(self.grid.shape, dtype=np.complex128)  # b_j, then out[j] + b_j
             if self.wavefront:
                 diff = np.empty((1,) + self.grid.shape, dtype=np.complex128)
-                step = partial(spectral._serial_strang_step, kin=self.kin, phase=None,
-                               one_axis=one_axis)
+                step = partial(spectral._serial_strang_step, kin=self.kin, phase=None)
             else:
                 diff, step = None, partial(strang_step, kin=self.kin)
             k = first
@@ -513,8 +513,7 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     wavefront = m >= 8 and grid.npoints >= WAVEFRONT_MIN_POINTS and spectral._two_cpus()
     chain = _SweepChain(u0.values, times, dt_eff, vvals, fvals, grid, tol, maxit, wavefront)
     if wavefront:
-        spectral._in_two_halves(lambda: chain.run(0, 2),
-                                lambda: chain.run(1, 2, one_axis=True))
+        spectral._in_two_halves(lambda: chain.run(0, 2), lambda: chain.run(1, 2))
     else:
         chain.run(0, 1)
 

@@ -13,17 +13,16 @@ strang_step is the propagator's kernel: two complex FFTs around a product
 by a Fourier multiplier.  real_fourier_multiply is the kernel of
 groundstate's Helmholtz operators: on the real half spectrum of rfftn it
 multiplies or divides by a real symbol, real samples in and float64 out,
-at about half the work of complex transforms.  Both use one extra worker
-thread on grids of at least PARALLEL_MIN_POINTS = 2^18 points (64^3, 512^2
-and up) when the process may run on two or more CPUs; results are
+at about half the work of complex transforms.  Both, and lq_norm_table
+for a single state, split their work with one extra worker thread where
+_split_here allows (2^18 points and up, two CPUs); results are
 bit-identical either way, and `taskset -c 0` runs them on one CPU.  There
 is no option or environment variable for it.  The solver's Duhamel sweeps
 use the same thread on smaller grids too (solver.WAVEFRONT_MIN_POINTS).
 
 lq_norm_table norms every row (one state, or one row of a stack) of at
 least PARALLEL_MIN_POINTS points with n >= 2 as the two halves of its first
-spatial axis, on this thread and the worker for a single state when two
-CPUs are allowed.  q = 2, inf and every q but 4 and 6 keep the bits of a
+spatial axis.  q = 2, inf and every q but 4 and 6 keep the bits of a
 whole-array pass, and the fused sums of q = 4 and 6 differ from one in
 the last bits.
 """
@@ -53,8 +52,8 @@ DEFAULT_MASS_TOL = 1e-8
 SHELL_FRACTION = 0.9
 DECAY_FIT_TIMES = 16  # sample times of a dispersive-decay fit
 DECAY_FIT_MASS_TOL = 1e-3  # box tolerance of a dispersive-decay fit
-# strang_step splits an array of at least this many points between two
-# threads.  Per step on a 2-vCPU host the split won 10 of 10 alternating
+# _split_here splits a kernel's work on at least this many points between
+# two threads.  Per step on a 2-vCPU host the split won 10 of 10 alternating
 # trials at 64^3 and 512^2 (about -40%) but only 5 of 10 at 32^3 and 256^2;
 # no grid with n >= 2 has between 2^16 and 2^18 points.
 PARALLEL_MIN_POINTS = 2**18
@@ -236,46 +235,69 @@ def strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray] = No
     writes the result there, returns out and allocates nothing; else it
     returns one new array.
 
-    An array of two or more axes and at least PARALLEL_MIN_POINTS = 2^18
-    points, in a process allowed two or more CPUs, steps in two threads
-    (_split_strang_step), bit for bit the serial result.  Never call it on
-    the worker thread itself: the step would wait on its own queue."""
+    Where _split_here allows, the step runs in four stages, each split
+    between this thread and the worker (_on_halves): (A) halves of axis 0
+    form P a and transform axes 1..n-1; (B) halves of axis 1 transform
+    axis 0 and multiply by kin; (C) halves of axis 0 inverse-transform axes
+    1..n-1; (D) halves of axis 1 inverse-transform axis 0 and multiply by
+    P.  numpy's fftn and ifftn transform the last axis first and axis 0
+    last, each axis by the same one-axis pocketfft pass as fft and ifft, so
+    every lane gets the serial arithmetic and the result is bit-identical."""
     if out is None:
         out = np.empty(np.shape(a), dtype=np.complex128)
-    if out.ndim >= 2 and out.size >= PARALLEL_MIN_POINTS and _two_cpus():
-        _split_strang_step(a, kin, phase, out)
-        return out
-    return _serial_strang_step(a, kin, phase, out, False)
+    if not _split_here(out):
+        return _serial_strang_step(a, kin, phase, out)
+    inner = tuple(range(1, out.ndim))
+
+    def forward_rows(o, a, phase):
+        _phase_into(o, a, phase)
+        _transform(o, inner, False)
+
+    def forward_cols(o, kin):
+        np.fft.fft(o, axis=0, out=o)
+        np.multiply(kin, o, out=o)
+
+    def backward_cols(o, phase):
+        np.fft.ifft(o, axis=0, out=o)
+        if phase is not None:
+            np.multiply(phase, o, out=o)
+
+    _on_halves(forward_rows, 0, out, a, phase)
+    _on_halves(forward_cols, 1, out, kin)
+    _on_halves(lambda o: _transform(o, inner, True), 0, out)
+    _on_halves(backward_cols, 1, out, phase)
+    return out
 
 
 def _serial_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                        out: np.ndarray, one_axis: bool) -> np.ndarray:
-    """strang_step into out on this thread alone, whatever the size; with
-    one_axis, every transform is one-axis passes (_transform)."""
-    if phase is None:
-        np.copyto(out, a)
-    else:
-        np.multiply(phase, a, out=out)
-    if one_axis:
-        _transform(out, None, False, True)
-        np.multiply(kin, out, out=out)
-        _transform(out, None, True, True)
-    else:  # the calls of every serial step, kept free of _transform's dispatch
-        np.fft.fftn(out, out=out)
-        np.multiply(kin, out, out=out)
-        np.fft.ifftn(out, out=out)
+                        out: np.ndarray) -> np.ndarray:
+    """strang_step into out on this thread alone, whatever the size."""
+    _phase_into(out, a, phase)
+    _transform(out, None, False)
+    np.multiply(kin, out, out=out)
+    _transform(out, None, True)
     if phase is not None:
         np.multiply(phase, out, out=out)
     return out
 
 
-def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
-               one_axis: bool) -> None:
-    """The fftn (ifftn) of o over axes (None: every axis), in place.  With
-    one_axis it is made of one-axis np.fft.fft (ifft) passes in fftn's
-    order, last axis first: the same pocketfft pass per axis, so bit for bit
-    the same, and no call of the fftn and ifftn a tracer patches."""
-    if one_axis:
+def _phase_into(o: np.ndarray, a: np.ndarray, phase: Optional[np.ndarray]) -> None:
+    """o = P a, or a copy of a when phase is None."""
+    if phase is None:
+        np.copyto(o, a)
+    else:
+        np.multiply(phase, a, out=o)
+
+
+def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool) -> None:
+    """The fftn (ifftn) of o over axes (None: every axis), in place.
+
+    The worker's FFT rule: on the worker the transform is made of one-axis
+    np.fft.fft (ifft) passes in fftn's order, last axis first.  That is the
+    same pocketfft pass per axis, so bit for bit the same, and the worker
+    calls none of the fftn and ifftn a tracer patches: every such call is
+    made on the calling thread."""
+    if _on_worker():
         for axis in reversed(range(o.ndim) if axes is None else axes):
             (np.fft.ifft if inverse else np.fft.fft)(o, axis=axis, out=o)
     else:
@@ -283,8 +305,7 @@ def _transform(o: np.ndarray, axes: Optional[Tuple[int, ...]], inverse: bool,
 
 
 def _on_worker() -> bool:
-    """Whether this is the worker thread, which must not wait on its own
-    queue."""
+    """Whether this is the worker thread."""
     return threading.current_thread().name.startswith(_WORKER_NAME)
 
 
@@ -292,6 +313,14 @@ def _two_cpus() -> bool:
     """Whether this process may run on two or more CPUs (taskset and cpuset
     masks included); platforms without affinity masks step serially."""
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _split_here(x: np.ndarray) -> bool:
+    """Whether a kernel splits its work on x between this thread and the
+    worker: x has two or more axes and at least PARALLEL_MIN_POINTS points,
+    the process may run on two or more CPUs, and this is not the worker,
+    which would wait on its own queue.  Either way the bits are the same."""
+    return x.ndim >= 2 and x.size >= PARALLEL_MIN_POINTS and _two_cpus() and not _on_worker()
 
 
 @lru_cache(maxsize=1)
@@ -318,51 +347,21 @@ def _in_two_halves(mine: Callable[[], object], theirs: Callable[[], object]) -> 
     future.result()
 
 
-def _split_strang_step(a: np.ndarray, kin: np.ndarray, phase: Optional[np.ndarray],
-                       out: np.ndarray) -> None:
-    """strang_step into out in four stages, each split between this thread
-    and the worker: (A) halves of axis 0 form P a and transform axes
-    1..n-1; (B) halves of axis 1 transform axis 0 and multiply by kin;
-    (C) halves of axis 0 inverse-transform axes 1..n-1; (D) halves of axis
-    1 inverse-transform axis 0 and multiply by P.
+def _halves(x: Optional[np.ndarray], axis: int) -> Tuple[Optional[np.ndarray], ...]:
+    """The two views of x cut at the middle of axis; (None, None) for None."""
+    if x is None:
+        return None, None
+    cut = (slice(None),) * axis
+    middle = x.shape[axis] // 2
+    return x[cut + (slice(None, middle),)], x[cut + (slice(middle, None),)]
 
-    numpy's fftn and ifftn transform the last axis first and axis 0 last,
-    each axis by the same one-axis pocketfft pass as fft and ifft, so every
-    lane gets the serial arithmetic and the result is bit-identical.  This
-    thread makes the one np.fft.fftn and np.fft.ifftn call of each
-    transform, on its half of axis 0; the worker calls only one-axis
-    np.fft.fft / np.fft.ifft and ufuncs, so a tracer that patches
-    fftn/ifftn still counts two calls a step, all on the calling thread."""
-    inner = tuple(range(1, out.ndim))
-    top, bottom = np.s_[: len(out) // 2], np.s_[len(out) // 2:]
-    left, right = np.s_[:, : out.shape[1] // 2], np.s_[:, out.shape[1] // 2:]
 
-    def forward_rows(half, mine):
-        o = out[half]
-        if phase is None:
-            np.copyto(o, a[half])
-        else:
-            np.multiply(phase[half], a[half], out=o)
-        _transform(o, inner, False, not mine)
-
-    def forward_cols(half):
-        o = out[half]
-        np.fft.fft(o, axis=0, out=o)
-        np.multiply(kin[half], o, out=o)
-
-    def backward_rows(half, mine):
-        _transform(out[half], inner, True, not mine)
-
-    def backward_cols(half):
-        o = out[half]
-        np.fft.ifft(o, axis=0, out=o)
-        if phase is not None:
-            np.multiply(phase[half], o, out=o)
-
-    _in_two_halves(lambda: forward_rows(top, True), lambda: forward_rows(bottom, False))
-    _in_two_halves(lambda: forward_cols(left), lambda: forward_cols(right))
-    _in_two_halves(lambda: backward_rows(top, True), lambda: backward_rows(bottom, False))
-    _in_two_halves(lambda: backward_cols(left), lambda: backward_cols(right))
+def _on_halves(stage: Callable[..., object], axis: int,
+               *arrays: Optional[np.ndarray]) -> None:
+    """stage on the first halves of arrays (cut at the middle of axis)
+    here and on the second halves on the worker (_in_two_halves)."""
+    first, second = zip(*(_halves(x, axis) for x in arrays))
+    _in_two_halves(lambda: stage(*first), lambda: stage(*second))
 
 
 def real_fourier_multiply(f: np.ndarray, symbol: np.ndarray, op: np.ufunc,
@@ -380,26 +379,19 @@ def real_fourier_multiply(f: np.ndarray, symbol: np.ndarray, op: np.ufunc,
     will do), each new when None; out is returned.  The one-axis passes are
     those of numpy's rfftn and irfftn, in their order.
 
-    An array of two or more axes and at least PARALLEL_MIN_POINTS points, in
-    a process allowed two or more CPUs, runs in three stages split between
-    this thread and the worker (on the worker itself, serially): halves of
-    axis 0 take the rfft and the middle axes' fft, halves of spectrum's
-    axis 1 the passes of axis 0 and op, halves of axis 0 the inverse row
-    passes.  Every lane gets the serial pass, so the bits are the serial
-    ones, and no thread calls the fftn and ifftn a tracer patches."""
+    Where _split_here allows, it runs in three stages split between this
+    thread and the worker (_on_halves): halves of axis 0 take the rfft and
+    the middle axes' fft, halves of spectrum's axis 1 the passes of axis 0
+    and op, halves of axis 0 the inverse row passes.  Every lane gets the
+    serial pass, so the bits are the serial ones."""
     if spectrum is None:
         spectrum = np.empty(np.shape(symbol), dtype=np.complex128)
     if out is None:
         out = np.empty(np.shape(f))
-    if f.ndim >= 2 and f.size >= PARALLEL_MIN_POINTS and _two_cpus() and not _on_worker():
-        top, bottom = np.s_[: len(f) // 2], np.s_[len(f) // 2:]
-        left, right = np.s_[:, : spectrum.shape[1] // 2], np.s_[:, spectrum.shape[1] // 2:]
-        _in_two_halves(lambda: _rfft_rows(f[top], spectrum[top]),
-                       lambda: _rfft_rows(f[bottom], spectrum[bottom]))
-        _in_two_halves(lambda: _symbol_columns(spectrum[left], symbol[left], op),
-                       lambda: _symbol_columns(spectrum[right], symbol[right], op))
-        _in_two_halves(lambda: _irfft_rows(spectrum[top], out[top]),
-                       lambda: _irfft_rows(spectrum[bottom], out[bottom]))
+    if _split_here(f):
+        _on_halves(_rfft_rows, 0, f, spectrum)
+        _on_halves(lambda h, s: _symbol_columns(h, s, op), 1, spectrum, symbol)
+        _on_halves(_irfft_rows, 0, spectrum, out)
     else:
         _rfft_rows(f, spectrum)
         _symbol_columns(spectrum, symbol, op)
@@ -456,13 +448,12 @@ def lq_norm_table(values: np.ndarray, grid: Grid,
     and roots each once.  Rows of at least PARALLEL_MIN_POINTS = 2^18 points
     with n >= 2 (64^3, 512^2 and up) are summed as the two halves of their
     first spatial axis, maxima combined by np.maximum and sums by +.  A
-    single state takes its halves on this thread and the worker when the
-    process may run on two or more CPUs; a stack, or a state normed on the
-    worker itself, takes both here in the same order, so the bits do not
-    depend on the CPUs.  numpy sums a contiguous power-of-two block
-    pairwise, splitting it at its midpoint, so q = 2, inf and every q but 4
-    and 6 keep the bits of one whole-row sum; the einsums of q = 4 and 6
-    differ from it in the last bits.
+    single state takes its halves on this thread and the worker where
+    _split_here allows; a stack, or a state it refuses, takes both here in
+    the same order, so the bits do not depend on the threads.  numpy sums
+    a contiguous power-of-two block pairwise, splitting it at its midpoint,
+    so q = 2, inf and every q but 4 and 6 keep the bits of one whole-row
+    sum; the einsums of q = 4 and 6 differ from it in the last bits.
     """
     exps = {as_exponent(q) for q in qs}
     if grid.n >= 2 and grid.npoints >= PARALLEL_MIN_POINTS:
@@ -485,15 +476,13 @@ def _sums_in_halves(values: np.ndarray, grid: Grid,
                     exps: Set[Exponent]) -> Dict[Exponent, np.ndarray]:
     """_norm_sums of values from the two halves of the first spatial axis;
     a single state's bottom half runs on the worker (see lq_norm_table)."""
-    tail = (slice(None),) * (grid.n - 1)
-    halves = (values[(..., slice(None, grid.N // 2)) + tail],
-              values[(..., slice(grid.N // 2, None)) + tail])
+    halves = _halves(values, values.ndim - grid.n)
     sums: List[Dict[Exponent, np.ndarray]] = [{}, {}]
 
     def norm(i: int) -> None:
         sums[i] = _norm_sums(halves[i], grid, exps)
 
-    if values.ndim == grid.n and _two_cpus() and not _on_worker():
+    if values.ndim == grid.n and _split_here(values):
         _in_two_halves(lambda: norm(0), lambda: norm(1))
     else:
         norm(0)

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import strz
 from strz.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -235,6 +239,29 @@ class TestCliBasics:
         summary = json.loads((tmp_path / "eig" / "summary.json").read_text())
         assert "groundstate.strz" in summary["files"]
         assert summary["residual"] < 1e-8
+
+
+class TestPythonDashM:
+    """python -m strz, as a source checkout runs the command line."""
+
+    @staticmethod
+    def run(*argv):
+        src = os.path.dirname(os.path.dirname(strz.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "strz", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_prints_what_main_prints(self, capsys):
+        argv = ["admissible", "--p", "2", "--q", "6", "--n", "3"]
+        done = self.run(*argv)
+        assert main(argv) == EXIT_OK
+        assert done.returncode == EXIT_OK
+        assert done.stdout == capsys.readouterr().out
+
+    def test_unknown_flag_exits_2(self):
+        done = self.run("admissible", "--p", "2", "--q", "6", "--n", "3", "--bogus")
+        assert done.returncode == EXIT_USAGE == 2
+        assert "--bogus" in done.stderr
 
 
 class TestCliSimulate:

@@ -374,6 +374,36 @@ class TestSplitStrangStep:
             strang_step(a, kin, phase)
         assert log == ["start", "stop"]
 
+    def test_a_step_on_the_worker_returns(self):
+        # in a child process, so that a worker waiting on its own queue
+        # fails the test instead of hanging the interpreter's exit
+        code = ("import os, numpy as np\n"
+                "from strz import spectral\n"
+                "spectral._two_cpus = lambda: True\n"
+                "g = spectral.make_grid(3, 8.0, 64)\n"
+                "rng = np.random.default_rng(0)\n"
+                "u = spectral.ComplexField(g, rng.standard_normal(g.shape) + 0j)\n"
+                "kin = spectral.free_multiplier(g, 0.01)\n"
+                "phase = spectral.unit_phase(rng.standard_normal(g.shape))\n"
+                "serial = phase * u.values\n"  # serial_strang_step's in-place calls
+                "np.fft.fftn(serial, out=serial)\n"
+                "np.multiply(kin, serial, out=serial)\n"
+                "np.fft.ifftn(serial, out=serial)\n"
+                "np.multiply(phase, serial, out=serial)\n"
+                "free = spectral.free_propagate(u, 0.01).values\n"
+                "worker = spectral._worker(os.getpid())\n"
+                "got = worker.submit(spectral.strang_step, u.values, kin, phase).result()\n"
+                "assert got.tobytes() == serial.tobytes()\n"
+                "got = worker.submit(spectral.free_propagate, u, 0.01).result().values\n"
+                "assert got.tobytes() == free.tobytes()\n")
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a step on the worker thread did not return")
+        assert done.returncode == 0
+
     def test_forked_child_gets_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
         a, kin, phase = strang_operands(3, 64, True)
