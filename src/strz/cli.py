@@ -317,6 +317,7 @@ def cmd_partition(args) -> int:
     base_dir = Path(args.config).parent
     grid = _grid_from_config(cfg)
     V = potential_from_config(cfg, base_dir=base_dir)
+    _check_profile_grids(V, grid)
     r = cfg.get_exponent("partition", "r", required=True)
     s = cfg.get_exponent("partition", "s", required=True)
     tau = cfg.get_float("partition", "tau", required=True)

@@ -379,15 +379,12 @@ def local_params(
 
 def pseudoconformal_ok(r: ExponentLike, s: ExponentLike, n: int) -> bool:
     """Whether (r, s) admits the pseudoconformal construction on [0, 1]:
-    requires s in ]n/2, n[ (precondition) and holds iff 1/(2r) + n/(2s) > 1,
-    equivalently r(n/s - 2) > -1."""
+    requires s in ]n/2, n[ (precondition) and holds iff 1/(2r) + n/(2s) > 1.
+    Acceptance criterion c01 checks it against the equivalent r(n/s - 2) > -1."""
     n = _check_dimension(n)
     r, s = as_exponent(r), as_exponent(s)
     if r.is_infinite:
         raise PreconditionError("pseudoconformal construction needs r in [1, inf)")
     if s.is_infinite or not Fraction(n, 2) < s.value < Fraction(n):
         raise PreconditionError(f"s must lie strictly between n/2 and n, got s={s}, n={n}")
-    ok = r.reciprocal / 2 + Fraction(n, 2) * s.reciprocal > 1
-    ok_alt = r.value * (n * s.reciprocal - 2) > -1
-    assert ok == ok_alt, "equivalent formulations disagree"
-    return ok
+    return r.reciprocal / 2 + Fraction(n, 2) * s.reciprocal > 1

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SnapshotFormatError
+from .errors import PreconditionError, SnapshotFormatError
 from .spectral import ComplexField, Grid
 
 MAGIC = b"STRZ"
@@ -45,7 +45,7 @@ def read_snapshot(path: Union[str, Path]) -> ComplexField:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
     try:
         grid = Grid(n=int(n), L=float(L), N=int(N))
-    except Exception as exc:
+    except PreconditionError as exc:
         raise SnapshotFormatError(f"{path}: invalid grid header ({exc})") from exc
     expected = grid.npoints * 16
     payload = len(raw) - _HEADER.size

@@ -25,7 +25,8 @@ besides its output stack, so it allocates nothing per row, and a piece
 returns its final iterate as that stack, read-only.
 
 The sweeps of a piece share two stacks, each sweep written over the one two
-before it.  On grids of at least WAVEFRONT_MIN_POINTS = 2^13 points (1D
+before it and normed a chunk of rows at a time as it goes (_SweepChain).
+On grids of at least WAVEFRONT_MIN_POINTS = 2^13 points (1D
 N = 8192, 128^2, 32^3 and up), in a process allowed two or more CPUs,
 spectral's one extra worker thread makes the odd sweeps while the caller
 makes the even ones, each sweep one row behind the one before it
@@ -86,6 +87,12 @@ STORE_BUDGET = 64 * 2**20  # bytes of states a run with the default stride keeps
 # faster in 7 of 7 (1D N=8192 0.80x, 128^2 0.71x, 32^3 0.62x, 256^2 0.58x;
 # 64^3 0.80x of the split strang_step).
 WAVEFRONT_MIN_POINTS = 2**13
+# A serial sweep norms its differences this many points' worth of rows at a
+# time.  A piece's norm steps (median, 2-vCPU host) in 2^13-, 2^14- and
+# 2^15-point chunks, and in whole stacks after each sweep: 32^2 x 101 rows
+# 24.4, 22.4, 23.6, 22.3 ms; 64^2 x 41 rows 27.8, 26.6, 26.2, 25.9 ms; 16^3 x
+# 101 rows 67.5, 59.6, 54.5, 54.7 ms.  2^15 holds twice the buffers of 2^14.
+NORM_CHUNK_POINTS = 2**14
 
 
 def endpoint_q(n: int) -> Exponent:
@@ -322,21 +329,23 @@ class _SweepChain:
     says whether S_{k+2} runs.  S_k is written into stacks[k % 2], over
     S_{k-2}; row 0 of both is u0 and never written again.
 
-    Serially, run(0, 1) makes every sweep and takes each difference's
-    Z-norm from one norm table of the whole stack.  As a wavefront, run(0, 2)
-    here and run(1, 2) on spectral's worker thread make the even and the odd
-    sweeps at the same time: row j of S_k is made only once S_{k-1} has
-    finished row j, so it reads finished rows of S_{k-1} and overwrites rows
-    of S_{k-2} that S_{k-1} no longer reads.  Each thread forms S_{k-1}[j] -
-    S_k[j] in its own buffer and logs its norms as a stack of one row, bit
-    for bit a row of the stack's norm table.  Decisions are taken strictly
-    in sweep order, each after the one before it is published."""
+    Once a chunk's last row is written, the sweep forms S_{k-1} - S_k over
+    the chunk in its own buffer (S_0 itself for k = 0), logs one norm table
+    of it, bit for bit the rows of a whole stack's, and then publishes the
+    rows.  Serially, run(0, 1) makes every sweep, NORM_CHUNK_POINTS' worth of
+    rows a chunk.  As a wavefront, run(0, 2) here and run(1, 2) on
+    spectral's worker make the even and the odd sweeps at once, a row a
+    chunk: row j of S_k is made only once S_{k-1} has published row j, so it
+    reads finished rows of S_{k-1} and overwrites rows of S_{k-2} that
+    S_{k-1} no longer reads.  Decisions are taken strictly in sweep order,
+    each once the one before it is published."""
 
     def __init__(self, u0: np.ndarray, times: np.ndarray, h: float,
                  vvals: List[np.ndarray], fvals: List[Optional[np.ndarray]], grid: Grid,
                  tol: float, maxit: int, wavefront: bool):
         self.times, self.vvals, self.fvals, self.grid = times, vvals, fvals, grid
         self.tol, self.maxit, self.wavefront = tol, maxit, wavefront
+        self.chunk = 1 if wavefront else min(len(times), max(1, NORM_CHUNK_POINTS // grid.npoints))
         self.kin = free_multiplier(grid, h)
         self.half = h / 2.0  # trapezoid weight
         self.qs = (TWO, endpoint_q(grid.n))
@@ -346,7 +355,7 @@ class _SweepChain:
             stack[0] = u0
         self.z: Dict[int, float] = {}  # Z-norm of S_0, then of S_{k-1} - S_k
         self.go: Dict[int, bool] = {}  # decision after S_k: whether S_{k+2} runs
-        self.rows: Dict[int, int] = {}  # rows of S_k finished (wavefront)
+        self.rows: Dict[int, int] = {}  # rows of S_k normed and published
         self.factors: List[float] = []
         self.iterations = 0
         self.failed = False
@@ -358,11 +367,9 @@ class _SweepChain:
         error tells the other thread to stop before it is raised."""
         try:
             buf = np.empty(self.grid.shape, dtype=np.complex128)  # b_j, then out[j] + b_j
-            if self.wavefront:
-                diff = np.empty((1,) + self.grid.shape, dtype=np.complex128)
-                step = partial(spectral._serial_strang_step, kin=self.kin, phase=None)
-            else:
-                diff, step = None, partial(strang_step, kin=self.kin)
+            diff = np.empty((self.chunk,) + self.grid.shape, dtype=np.complex128)
+            kernel = spectral._serial_strang_step if self.wavefront else strang_step
+            step = partial(kernel, kin=self.kin, phase=None)
             k = first
             while k < 2 or self.go[k - 2]:  # a decision of this thread's own
                 if not self._sweep(k, buf, diff, step):
@@ -380,33 +387,34 @@ class _SweepChain:
                 self.cond.notify_all()
             raise
 
-    def _sweep(self, k: int, buf: np.ndarray, diff: Optional[np.ndarray], step) -> bool:
+    def _sweep(self, k: int, buf: np.ndarray, diff: np.ndarray, step) -> bool:
         """S_k by the recursion of the module docstring from S_{k-1} (b = 0
-        for S_0, the free evolution), then z[k].  False when the other
-        thread failed first."""
+        for S_0, the free evolution), normed a chunk of rows at a time, then
+        z[k].  False when the other thread failed first."""
         m = len(self.times) - 1
         out = self.stacks[k % 2]
         v = self.stacks[(k - 1) % 2] if k else None
-        if self.wavefront:
-            norms = {q: np.empty(m + 1) for q in self.qs}
-            self._log_row(k, 0, diff, norms)
+        norms = {q: np.empty(m + 1) for q in self.qs}
         if v is not None:
             self._form_b(0, v, buf)
-        for j in range(m):
-            if self.wavefront and k and not self._wait(lambda: self.rows.get(k - 1, 0) > j):
-                return False
-            if v is None:
-                step(out[j], out=out[j + 1])
-            else:
-                np.add(out[j], buf, out=buf)
-                step(buf, out=out[j + 1])
-                self._form_b(j + 1, v, buf)
-                out[j + 1] += buf
-            if self.wavefront:
-                self._log_row(k, j + 1, diff, norms)
+        lo = ready = 0  # first row not yet normed; rows of S_{k-1} seen published
+        for j in range(m + 1):  # row 0 is u0; row j > 0 is made here
+            if j:
+                if k and j >= ready:
+                    ready = self._wait(lambda: self.rows.get(k - 1, 0) > j) and self.rows[k - 1]
+                    if not ready:
+                        return False
+                if v is None:
+                    step(out[j - 1], out=out[j])
+                else:
+                    np.add(out[j - 1], buf, out=buf)
+                    step(buf, out=out[j])
+                    self._form_b(j, v, buf)
+                    out[j] += buf
+            if j + 1 - lo == self.chunk or j == m:
+                self._log_rows(k, lo, j + 1, diff, norms)
                 self._publish(self.rows, k, j + 1)
-        if not self.wavefront:
-            norms = self._stack_norms(k)
+                lo = j + 1
         self.z[k] = _z_norm(self.times, norms, self.grid)
         return True
 
@@ -417,30 +425,15 @@ class _SweepChain:
             np.subtract(buf, self.fvals[j], out=buf)
         np.multiply(buf, 1j * self.half, out=buf)
 
-    def _log_row(self, k: int, j: int, diff: np.ndarray,
-                 norms: Dict[Exponent, np.ndarray]) -> None:
-        """Norms of row j of S_{k-1} - S_k, formed in diff (of S_0 itself
-        for k = 0), into norms[q][j]."""
-        row = self.stacks[k % 2][j:j + 1]
+    def _log_rows(self, k: int, lo: int, hi: int, diff: np.ndarray,
+                  norms: Dict[Exponent, np.ndarray]) -> None:
+        """Norms of rows lo..hi-1 of S_{k-1} - S_k, formed in diff (of S_0
+        itself for k = 0), into norms[q][lo:hi]."""
+        rows = self.stacks[k % 2][lo:hi]
         if k:
-            np.subtract(self.stacks[(k - 1) % 2][j:j + 1], row, out=diff)
-            row = diff
-        for q, norm in lq_norm_table(row, self.grid, norms).items():
-            norms[q][j] = norm[0]
-
-    def _stack_norms(self, k: int) -> Dict[Exponent, np.ndarray]:
-        """Norm table of S_0, or of S_{k-1} - S_k formed over S_{k-1}; over
-        S_k instead (as S_k - S_{k-1}) when S_k is the residual sweep, which
-        must leave the iterate S_{k-1}."""
-        out = self.stacks[k % 2]
-        if not k:
-            return lq_norm_table(out, self.grid, self.qs)
-        v = self.stacks[(k - 1) % 2]
-        a, b = (v, out) if self.go[k - 1] else (out, v)
-        a -= b
-        table = lq_norm_table(a, self.grid, self.qs)
-        a[0] = b[0]  # u0 again, where the next sweep starts
-        return table
+            rows = np.subtract(self.stacks[(k - 1) % 2][lo:hi], rows, out=diff[:hi - lo])
+        for q, norm in lq_norm_table(rows, self.grid, self.qs).items():
+            norms[q][lo:hi] = norm
 
     def _decide(self, k: int) -> bool:
         """Whether S_{k+2} runs, from z[0..k]: after S_1, unless the first
@@ -468,8 +461,6 @@ class _SweepChain:
 
     def _wait(self, ready: Callable[[], bool]) -> bool:
         """Wait until ready(); False once the other thread has failed."""
-        if not self.wavefront:
-            return True
         with self.cond:
             while not (self.failed or ready()):
                 self.cond.wait()
@@ -497,8 +488,8 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1
-    # two sweep stacks and one of norm temporaries and grid buffers, before any
-    # sample_key call; then with the samples kept: half a field per real V
+    # two sweep stacks and one of grid buffers and v's norm temporaries, before
+    # any sample_key call; then with the samples kept: half a field per real V
     # sample, one per V key (per node for key None), one per node of callable F
     _check_buffers(3 * (m + 1), grid)
     keys = [V.sample_key(t) for t in times.tolist()]

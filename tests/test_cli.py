@@ -503,6 +503,22 @@ class TestCliPartition:
         assert main(["partition", "--config", str(tmp_path / "part.cfg"),
                      "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
 
+    def test_profile_on_another_grid_leaves_no_output_directory(self, tmp_path, capsys):
+        # as for simulate: a profile sampled on N = 32 under a [grid] of N = 64
+        write_snapshot(default_weight(make_grid(1, 12.0, 32)), tmp_path / "W32.strz")
+        (tmp_path / "part.cfg").write_text(
+            "\n".join([
+                "[grid]", "n = 1", "l = 12.0", "n_points = 64", "",
+                "[potential]", "kind = static", "profile = W32.strz", "",
+                "[partition]", "r = 2", "s = 2", "tau = 1.5", "dt = 0.01", "t1 = 2.0",
+            ]) + "\n"
+        )
+        out = tmp_path / "out"
+        assert main(["partition", "--config", str(tmp_path / "part.cfg"),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "[grid]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_denominator_validation_exit(self, tmp_path, capsys):
         (tmp_path / "part.cfg").write_text(
             "\n".join([
@@ -573,3 +589,16 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "[FAIL] c99" in out
         assert "FAILED criteria: c99" in out
+
+    def test_unknown_key_refused_before_any_criterion(self, capsys, monkeypatch):
+        import strz.acceptance as acc
+
+        def never(ctx):
+            raise AssertionError("a criterion ran before every key was checked")
+
+        monkeypatch.setattr(acc, "CRITERIA",
+                            [(k, t, never, b) for k, t, _, b in acc.CRITERIA])
+        assert main(["verify", "--criteria", "c01,c99"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "unknown criteria: c99" in captured.err
+        assert "c01" not in captured.out

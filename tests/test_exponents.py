@@ -298,7 +298,7 @@ class TestPseudoconformalOk:
             pseudoconformal_ok(2, F(3, 2), 3)  # s = n/2 excluded
 
     def test_formulations_agree(self, rng):
-        # the assert inside pseudoconformal_ok cross-checks both forms
+        # against the equivalent form r(n/s - 2) > -1
         done = 0
         while done < 1000:
             n = rng.choice([2, 3])
@@ -307,5 +307,5 @@ class TestPseudoconformalOk:
             if not lo < s < hi:
                 continue
             r = random_rational(rng, F(1), F(20), max_den=16)
-            pseudoconformal_ok(Exponent(r), Exponent(s), n)
+            assert pseudoconformal_ok(Exponent(r), Exponent(s), n) == (r * (n / s - 2) > -1)
             done += 1

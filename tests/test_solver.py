@@ -559,8 +559,9 @@ class TestDuhamel:
             duhamel_iterate(u0, lambda t: u0, V, (0.8, 1.0), dt=0.005)
 
     def test_peak_memory_three_stacks(self):
-        # one 2D N=64 piece of 41 nodes: v, Phi(v) and the real |.|^q
-        # temporaries of a Z-norm (half a stack), within the three checked
+        # one 2D N=64 piece of 41 nodes: v and Phi(v), whose differences are
+        # normed NORM_CHUNK_POINTS' worth of rows at a time, then the real
+        # |.|^q temporaries of v's Z-norm; well within the three checked
         grid = make_grid(2, 10.0, 64)
         u0 = gaussian_field(grid, sigma=1.0)
         V = StaticPotential(real_profile(grid, u0.values.real))
@@ -570,7 +571,7 @@ class TestDuhamel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * 41 * 64**2 * 16, peak / (41 * 64**2 * 16)
+        assert peak <= 2.4 * 41 * 64**2 * 16, peak / (41 * 64**2 * 16)
 
     def test_peak_memory_kept_samples_are_real(self):
         # a pseudoconformal V keeps a real sample per node, half a stack in all;
@@ -1223,6 +1224,59 @@ class TestPieceStack:
         piece = max(peak(lambda: duhamel_iterate(u0, None, V, p, part.dt)) for p in part)
         assert len(part) >= 5
         assert peak(solve) <= piece + 3 * grid.npoints * 16
+
+
+class TestNormChunks:
+    """Every sweep of a piece norms its differences S_{k-1} - S_k a chunk
+    of rows at a time, with one norm table per chunk: NORM_CHUNK_POINTS'
+    worth of rows on one thread, one row on a wavefront."""
+
+    def norm_table_rows(self, monkeypatch):
+        """The rows of every array solver norms, in call order (None for
+        a single state)."""
+        rows = []
+
+        def recorded(values, grid, qs):
+            rows.append(len(values) if values.ndim > grid.n else None)
+            return lq_norm_table(values, grid, qs)
+
+        monkeypatch.setattr(solver, "lq_norm_table", recorded)
+        return rows
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_bit_for_bit(self, standing2d, offset):
+        # a piece of m + 1 = chunk - 1, chunk and chunk + 1 nodes
+        grid, W, u0 = standing2d
+        chunk = solver.NORM_CHUNK_POINTS // grid.npoints
+        assert 1 < chunk < 40 and grid.npoints < solver.WAVEFRONT_MIN_POINTS
+        m = chunk + offset - 1
+        V, piece = StaticPotential(W), (0.0, 0.01 * m)
+        res = duhamel_iterate(u0, None, V, piece, 0.01, tol=1e-10)
+        v, iterations, factors, residual = reference_duhamel(u0, None, V, piece, 0.01, tol=1e-10)
+        assert len(res.times) == m + 1
+        assert res.iterations == iterations > 2
+        assert same_bits(res.factors, factors)
+        assert same_bits(res.residual, residual)
+        assert same_bits(res.states, v)
+
+    def test_serial_sweeps_norm_a_chunk_per_table(self, standing2d, monkeypatch):
+        grid, W, u0 = standing2d
+        chunk = solver.NORM_CHUNK_POINTS // grid.npoints
+        rows = self.norm_table_rows(monkeypatch)
+        res = duhamel_iterate(u0, None, StaticPotential(W), (0.0, 0.4), 0.01)
+        m = len(res.times) - 1
+        assert m + 1 == 41 and 41 % chunk
+        sweep = [chunk] * (41 // chunk) + [41 % chunk]
+        # S_0 .. S_{K+1}, then the Z-norm of the iterate S_K
+        assert rows == sweep * (res.iterations + 2) + [41]
+
+    def test_wavefront_sweeps_norm_a_row_per_table(self, standing2d, monkeypatch):
+        grid, W, u0 = standing2d
+        monkeypatch.setattr(solver, "WAVEFRONT_MIN_POINTS", 1)
+        monkeypatch.setattr(spectral, "_two_cpus", lambda: True)
+        rows = self.norm_table_rows(monkeypatch)
+        res = duhamel_iterate(u0, None, StaticPotential(W), (0.0, 0.4), 0.01)
+        assert sorted(rows) == [1] * 41 * (res.iterations + 2) + [41]
 
 
 class TestStoreBudget:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -546,9 +547,10 @@ class TestLqNorm:
     @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128), (3, 32)])
     @pytest.mark.parametrize("rows", [1, 2, 17])
     def test_stack_rows_normed_alone_bit_for_bit(self, n, N, rows):
-        # a Duhamel wavefront logs each row's norms on its own, as a stack
-        # of one row, and decides from them as from the whole stack's table;
-        # rows of 2^14 points and up are beyond einsum's 8192-point buffer
+        # a Duhamel sweep logs its rows' norms a chunk lo:hi at a time (one
+        # row on a wavefront), and decides from them as from the whole
+        # stack's table; rows of 2^14 points and up are beyond einsum's
+        # 8192-point buffer
         g = make_grid(n, 4.0, N)
         rng = np.random.default_rng(rows)
         stack = rng.standard_normal((rows,) + g.shape) + 1j * rng.standard_normal((rows,) + g.shape)
@@ -558,6 +560,12 @@ class TestLqNorm:
             alone = lq_norm_table(stack[j:j + 1], g, qs)
             for q in table:
                 assert same_bits(table[q][j], alone[q][0]), (q, j)
+        for chunk in (2, 5):
+            for lo in range(0, rows, chunk):
+                hi = min(lo + chunk, rows)
+                part = lq_norm_table(stack[lo:hi], g, qs)
+                for q in table:
+                    assert same_bits(table[q][lo:hi], part[q]), (q, lo, hi)
             # a state that is not a stack matches where no root is taken by pow
             single = lq_norm_table(stack[j], g, qs)
             for q in (Exponent(2), Exponent("inf")):
@@ -757,6 +765,10 @@ class TestSplitNormTable:
             alone = lq_norm_table(stack[j:j + 1], g, self.QS)
             for q in table:
                 assert same_bits(table[q][j], alone[q][0]), (q, j)
+        for lo, hi in ((0, 2), (1, 3)):
+            part = lq_norm_table(stack[lo:hi], g, self.QS)
+            for q in table:
+                assert same_bits(table[q][lo:hi], part[q]), (q, lo, hi)
 
     def test_stacks_never_split_across_threads(self, monkeypatch, halves_calls):
         # the wavefront norms one-row stacks on both threads: a split there
@@ -1037,6 +1049,14 @@ class TestSnapshot:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+
+    def test_header_grid_not_a_power_of_two(self, tmp_path):
+        # N = 12 is refused by Grid; the reader reports a malformed file
+        path = tmp_path / "n12.strz"
+        path.write_bytes(struct.pack("<4sIIId", b"STRZ", 1, 1, 12, 5.0) + bytes(12 * 16))
+        with pytest.raises(SnapshotFormatError, match="invalid grid header"):
             read_snapshot(path)
 
 
