@@ -41,7 +41,7 @@ tau = calibrate_tau([V], grid, dt=0.01, rounds=8)
 print(f"  tau = {tau:.4f}  (c_hat = 1/(2 tau) = {1/(2*tau):.4f})")
 
 print("\n== partition and chain on [0, 2] ==")
-part = partition_interval(V, 2, 2, (0.0, 2.0), tau=tau, dt=5e-3, grid=grid)
+part = partition_interval(V, 2, 2, (0.0, 2.0), tau=tau, dt=5e-3)
 print(f"  pieces: {len(part)}, piece norms: {[round(float(x), 3) for x in part.piece_norms]}")
 rep = solve_global(u0, None, V, (0.0, 2.0), 2, 2, tau=tau, dt=5e-3, pairs=[])
 print(f"  per-piece max factors: "

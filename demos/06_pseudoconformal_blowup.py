@@ -56,7 +56,7 @@ for T in (0.25, 0.5, 1.0):
     state = sampler(T)
     print(f"  T = {T}: ||U(T)||_2 / ||u0||_2 = {lq_norm(state, 2)/lq_norm(u0, 2):.8f}")
 
-reflected = reflect_translate(sampler, t0=1.0)
+reflected = reflect_translate(sampler)
 state = reflected(0.6)
 print(f"\nreflected family at t = 0.6 equals conj(U(0.4)): "
       f"{np.abs(state.values - np.conj(sampler(0.4).values)).max():.2e}")

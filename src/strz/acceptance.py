@@ -284,18 +284,10 @@ def c05_standing_wave(ctx: AcceptanceContext) -> Checks:
     grid = sp.make_grid(2, 12.0, 128)
     gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
     W, u0 = gs.standing_wave_potential(gp)
-    u0_l2 = sp.lq_norm(u0, 2)
-    worst = {"err": 0.0}
-    diff = np.empty(grid.shape, dtype=np.complex128)
-
-    def probe(t, vals):
-        np.multiply(np.exp(-1j * t), u0.values, out=diff)
-        np.subtract(vals, diff, out=diff)
-        worst["err"] = max(worst["err"], float(sp.lq_norms(diff, grid, 2)) / u0_l2)
-
+    probe = cx.PhaseProbe(u0)
     rep = sv.split_step_evolve(u0, pt.StaticPotential(W), interval=(0.0, 5.0), dt=1e-3,
                                step_probe=probe)
-    ch.le("phase error at all samples", worst["err"], 1e-3)
+    ch.le("phase error at all samples", probe.worst, 1e-3)
     ch.le("energy drift", rep.energy_drift, 1e-10)
     return ch
 
@@ -361,9 +353,9 @@ def c07_partitioner(ctx: AcceptanceContext) -> Checks:
         sched = pt.Schedule(kind=ScheduleKind.LOCAL, params=params, n=1,
                             windows=tuple(windows), total_time=T)
         V = pt.PatchedRescaledPotential(bump, sched)
-        powers, dt_eff = pt.slice_powers(V, r, s, (0.0, T), dt, grid=grid)
+        powers, dt_eff = pt.slice_powers(V, r, s, (0.0, T), dt)
         tau = math.sqrt(max(float(powers.max()), 1e-12) * rng.uniform(1.2, 6.0))
-        part = pt.partition_interval(V, r, s, (0.0, T), tau=tau, dt=dt, grid=grid)
+        part = pt.partition_interval(V, r, s, (0.0, T), tau=tau, dt=dt)
         if abs(part.pieces[0][0]) > 1e-12 or abs(part.pieces[-1][1] - T) > 1e-9:
             tiled_ok = False
         for (a0, b0), (a1, b1) in zip(part.pieces, part.pieces[1:]):

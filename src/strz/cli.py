@@ -324,7 +324,7 @@ def cmd_partition(args) -> int:
     dt = cfg.get_float("partition", "dt", default=0.01)
     t0 = cfg.get_float("partition", "t0", default=0.0)
     t1 = cfg.get_float("partition", "t1", required=True)
-    part = partition_interval(V, r, s, (t0, t1), tau=tau, dt=dt, grid=grid)
+    part = partition_interval(V, r, s, (t0, t1), tau=tau, dt=dt)
     bundle = ResultBundle(out_dir=args.out, command="partition",
                           config_hash=cfg.config_hash())
     bundle.write_csv(
@@ -336,7 +336,7 @@ def cmd_partition(args) -> int:
         ],
     )
     bundle.summary.update({"pieces": len(part), "tau": tau,
-                           "total_norm": mixed_norm(V, r, s, (t0, t1), dt=dt, grid=grid)})
+                           "total_norm": mixed_norm(V, r, s, (t0, t1), dt=dt)})
     path = bundle.finalize()
     print(f"pieces: {len(part)}")
     print(f"summary: {path}")

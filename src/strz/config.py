@@ -216,7 +216,8 @@ class ResultBundle:
         self.files.append(name)
         return path
 
-    def finalize(self, name: str = "summary.json") -> Path:
+    def finalize(self) -> Path:
+        """Write the summary and manifest to ``summary.json``."""
         payload = {
             "command": self.command,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -224,7 +225,7 @@ class ResultBundle:
             "files": sorted(self.files),
             **self.summary,
         }
-        path = self.out_dir / name
+        path = self.out_dir / "summary.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 

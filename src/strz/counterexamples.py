@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DivergentNormError, PreconditionError, RegimeError
 from .exponents import (
-    Criticality,
     Exponent,
     ExponentLike,
     ScheduleKind,
@@ -61,13 +60,6 @@ GROWTH_MIN_SLOPE = Fraction(1, 2)
 GROWTH_P_MAX = Fraction(3)
 
 
-_REGIME_FOR_KIND = {
-    ScheduleKind.GLOBAL_SUBCRITICAL: Criticality.SUBCRITICAL,
-    ScheduleKind.GLOBAL_SUPERCRITICAL: Criticality.SUPERCRITICAL,
-    ScheduleKind.LOCAL: Criticality.SUPERCRITICAL,
-}
-
-
 @dataclass(frozen=True)
 class CounterexampleFamily:
     kind: ScheduleKind
@@ -97,7 +89,7 @@ def schedule_params_for_growth(kind: ScheduleKind, r: ExponentLike, s: ExponentL
     while keeping the convergence inequalities exact.
     """
     cls = classify_potential(r, s, n)
-    if cls.criticality is not _REGIME_FOR_KIND[kind]:
+    if cls.criticality is not kind.regime:
         raise RegimeError(f"(r,s)=({r},{s}) is {cls.criticality.value}, wrong regime for {kind.value}")
     if cls.r.is_infinite:
         raise PreconditionError("cascade schedules need r < inf")
@@ -122,35 +114,26 @@ def build_family(
     W: ComplexField,
     u0: ComplexField,
     K: int,
-    T: Optional[float] = None,
     params: Optional[ScheduleParams] = None,
 ) -> CounterexampleFamily:
     """Assemble a cascade family with K windows and a certified finite
     potential norm.  ``params`` defaults to the deterministic selectors;
     a divergent analytic norm raises DivergentNormError (bad parameters).
-    For the LOCAL kind, ``T`` (if given) must dominate the schedule's total
-    time sum; all windows then live inside [0, T]."""
+    The schedule, its ``total_time`` included, is make_schedule's."""
     r, s = as_exponent(r), as_exponent(s)
     if W.grid.n != n or u0.grid != W.grid:
         raise PreconditionError("base profile grids must match the family dimension")
     if K < 1:
         raise PreconditionError("need at least one window")
     cls = classify_potential(r, s, n)
-    if cls.criticality is not _REGIME_FOR_KIND[kind]:
+    if cls.criticality is not kind.regime:
         raise RegimeError(
             f"(r,s)=({r},{s}) is {cls.criticality.value}; {kind.value} needs "
-            f"{_REGIME_FOR_KIND[kind].value}"
+            f"{kind.regime.value}"
         )
     if params is None:
         params = default_params(kind, r, s, n)
     schedule = make_schedule(kind, params, r, s, n, K)
-    if kind is ScheduleKind.LOCAL and T is not None:
-        if T < schedule.total_time:
-            raise PreconditionError(
-                f"requested T={T} is below the schedule total {schedule.total_time:.6g}"
-            )
-        schedule = Schedule(kind=schedule.kind, params=schedule.params, n=schedule.n,
-                            windows=schedule.windows, total_time=T)
     bound = analytic_patched_norm(schedule, r, s, lq_norm(W, s))
     if not bound.converges:
         raise DivergentNormError(
@@ -198,12 +181,7 @@ def ratio_series(
     ratios = const * lengths**e_time * eps**e_eps
 
     alpha, beta = family.schedule.params.alpha, family.schedule.params.beta
-    if p.is_infinite:
-        predicted = 0.0
-    elif family.kind is ScheduleKind.GLOBAL_SUBCRITICAL:
-        predicted = float((alpha - beta) * p.reciprocal)
-    else:
-        predicted = float((beta - alpha) * p.reciprocal)
+    predicted = float(family.kind.sign * (alpha - beta) * p.reciprocal)
 
     K = int(ks[-1])
     if fit_range is None:
@@ -216,6 +194,21 @@ def ratio_series(
         fitted = None
     return RatioSeries(pair=(p, q), ks=ks, ratios=ratios, predicted_slope=predicted,
                        fitted_slope=fitted, fit_range=(lo, hi), constant=const)
+
+
+class PhaseProbe:
+    """Step probe of a standing wave u(t) = exp(-it) u0: ``worst`` is the
+    largest ||u(t) - exp(-it) u0||_2 / ||u0||_2 over the probed samples."""
+
+    def __init__(self, u0: ComplexField):
+        self.u0, self.u0_l2 = u0, lq_norm(u0, 2)
+        self.diff = np.empty(u0.grid.shape, dtype=np.complex128)
+        self.worst = 0.0
+
+    def __call__(self, t: float, vals: np.ndarray) -> None:
+        np.multiply(np.exp(-1j * t), self.u0.values, out=self.diff)
+        np.subtract(vals, self.diff, out=self.diff)
+        self.worst = max(self.worst, float(lq_norms(self.diff, self.u0.grid, 2)) / self.u0_l2)
 
 
 @dataclass(frozen=True)
@@ -263,18 +256,9 @@ def window_crosscheck(
         tau_len = w.eps**2 * w.length
         tau0 = w.eps**2 * w.start
 
-        probe_err = {"max": 0.0}
-        diff = np.empty(grid.shape, dtype=np.complex128)
-
-        def probe(t: float, vals: np.ndarray):
-            np.multiply(np.exp(-1j * t), u0.values, out=diff)
-            np.subtract(vals, diff, out=diff)
-            probe_err["max"] = max(probe_err["max"], float(lq_norms(diff, grid, 2)) / u0_l2)
-
-        rep = split_step_evolve(
-            u0, StaticPotential(family.W), interval=(0.0, tau_len), dt=dt,
-            store_every=max(1, round(tau_len / dt)), pairs=pairs, step_probe=probe,
-        )
+        probe = PhaseProbe(u0)
+        rep = split_step_evolve(u0, StaticPotential(family.W), interval=(0.0, tau_len), dt=dt,
+                                pairs=pairs, step_probe=probe, keep_states=False)
         norm_errors: Dict[Tuple[Exponent, Exponent], float] = {}
         for (p, q), ratio in rep.strichartz_ratios.items():
             # rescaled-coordinate norm back to original coordinates
@@ -295,7 +279,7 @@ def window_crosscheck(
                 k=k,
                 eps=w.eps,
                 tau_interval=(tau0, tau0 + tau_len),
-                phase_error=probe_err["max"],
+                phase_error=probe.worst,
                 energy_start=energy_start,
                 energy_predicted=energy_pred,
                 norm_errors=norm_errors,
@@ -436,17 +420,16 @@ def pseudoconformal_residual(W: ComplexField, u0: ComplexField, T: float) -> flo
     return float(np.linalg.norm(residual) / np.linalg.norm(U))
 
 
-def reflect_translate(sampler: Callable[[float], ComplexField],
-                      t0: float = 1.0) -> Callable[[float], ComplexField]:
-    """Time reflection and translation t -> t0 - t with conjugation.
+def reflect_translate(sampler: Callable[[float], ComplexField]) -> Callable[[float], ComplexField]:
+    """Time reflection and translation t -> 1 - t with conjugation.
 
-    For real potentials, conj(U(t0 - t)) solves the same equation with the
-    potential V(t0 - t, x), turning the T -> 0 blow-up of the family into a
-    finite-time blow-up at t = t0.
+    For real potentials, conj(U(1 - t)) solves the same equation with the
+    potential V(1 - t, x), turning the T -> 0 blow-up of the family into a
+    finite-time blow-up at t = 1, the end of the family's interval (delta, 1].
     """
 
     def reflected(t: float) -> ComplexField:
-        state = sampler(t0 - t)
+        state = sampler(1.0 - t)
         return ComplexField(state.grid, np.conj(state.values))
 
     return reflected

@@ -277,6 +277,19 @@ class ScheduleKind(enum.Enum):
     GLOBAL_SUPERCRITICAL = "global-supercritical"
     LOCAL = "local"
 
+    @property
+    def sign(self) -> int:
+        """+1 when window k has length k^alpha and eps_k = k^(-beta/2)
+        (GLOBAL_SUBCRITICAL), -1 when it has length k^(-alpha) and
+        eps_k = k^(beta/2) (the other kinds)."""
+        return 1 if self is ScheduleKind.GLOBAL_SUBCRITICAL else -1
+
+    @property
+    def regime(self) -> Criticality:
+        """The criticality of the (r, s) a cascade of this kind is built for."""
+        subcritical = self is ScheduleKind.GLOBAL_SUBCRITICAL
+        return Criticality.SUBCRITICAL if subcritical else Criticality.SUPERCRITICAL
+
 
 @dataclass(frozen=True)
 class ScheduleParams:

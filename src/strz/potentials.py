@@ -109,20 +109,16 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
     alpha, beta = float(params.alpha), float(params.beta)
     ks = np.arange(1, K + 1, dtype=float)
     windows: List[Window] = []
+    lengths = ks ** (kind.sign * alpha)
+    eps = ks ** (-kind.sign * beta / 2.0)
     if kind is ScheduleKind.GLOBAL_SUBCRITICAL:
-        lengths = ks**alpha
         starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
-        eps = ks ** (-beta / 2.0)
         total = float(np.cumsum(lengths)[-1])
     elif kind is ScheduleKind.GLOBAL_SUPERCRITICAL:
-        lengths = ks ** (-alpha)
-        starts = ks.copy()
-        eps = ks ** (beta / 2.0)
+        starts = ks
         total = float(K + lengths[-1])
     else:  # LOCAL
-        lengths = ks ** (-alpha)
         starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
-        eps = ks ** (beta / 2.0)
         # Limit of the partial sums, bounded by the integral-test tail.
         partial = float(np.sum(lengths))
         tail = float(K) ** (1.0 - alpha) / (alpha - 1.0)
@@ -139,9 +135,10 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
 # Every variant answers the same questions, so callers never branch on it:
 # ``kind`` (its config name), ``grid`` (its natural evaluation grid, None if
 # it has none), ``field_at`` (V(t) on a grid as real float64 samples, see
-# ``evaluate``), ``norm_function`` (t -> ||V(t)||_s, exact per variant where
-# possible) and ``sample_key`` (the key under which a sampled field may be
-# cached, None for never).
+# ``evaluate``), ``norm_function`` (t -> ||V(t)||_s on the variant's own
+# grid, exact per variant where possible; a grid-free potential has norm 0)
+# and ``sample_key`` (the key under which a sampled field may be cached, None
+# for never).
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ class ZeroPotential:
     def field_at(self, t: float, grid: Grid) -> np.ndarray:
         return np.zeros(grid.shape)
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
+    def norm_function(self, s: Exponent) -> NormFunction:
         return lambda t: 0.0
 
     def sample_key(self, t: float) -> Hashable:
@@ -194,7 +191,7 @@ class StaticPotential(ProfilePotential):
         self._check_grid(grid)
         return self.profile.values.real
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
+    def norm_function(self, s: Exponent) -> NormFunction:
         base = lq_norm(self.profile, s)
         return lambda t: base
 
@@ -222,7 +219,7 @@ class PatchedRescaledPotential(ProfilePotential):
             return np.zeros(grid.shape)
         return (w.eps**2) * rescale_field(self.profile.values.real, grid, w.eps)
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
+    def norm_function(self, s: Exponent) -> NormFunction:
         base = lq_norm(self.profile, s)
         expo = 2.0 - self.profile.grid.n * float(s.reciprocal)
 
@@ -253,7 +250,7 @@ class PseudoconformalPotential(ProfilePotential):
         scaled *= scale
         return scaled
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
+    def norm_function(self, s: Exponent) -> NormFunction:
         base = lq_norm(self.profile, s)
         expo = self.profile.grid.n * float(s.reciprocal) - 2.0
         return lambda t: base * _pseudoconformal_factor(t, lambda T: T**expo)
@@ -296,10 +293,10 @@ class SumPotential:
             acc += term.field_at(t, grid)
         return acc
 
-    def norm_function(self, s: Exponent, grid: Optional[Grid]) -> NormFunction:
-        g = grid or self.grid
+    def norm_function(self, s: Exponent) -> NormFunction:
+        g = self.grid
         if g is None:
-            raise PreconditionError("sum of grid-free potentials needs an explicit grid")
+            return lambda t: 0.0  # every term is a zero potential
         return lambda t: float(lq_norms(self.field_at(t, g), g, s))
 
     def sample_key(self, t: float) -> Hashable:
@@ -335,7 +332,7 @@ def evaluate(V: PotentialSpec, t: float, grid: Grid) -> np.ndarray:
 
 
 def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Interval,
-               dt: float = DEFAULT_DT, grid: Optional[Grid] = None) -> float:
+               dt: float = DEFAULT_DT) -> float:
     """||V||_{L^r(interval; L^s)} by composite trapezoid over uniform samples.
 
     Spatial norms per sample come from the variant's norm_function, which is
@@ -344,7 +341,7 @@ def mixed_norm(V: PotentialSpec, r: ExponentLike, s: ExponentLike, interval: Int
     """
     r, s = as_exponent(r), as_exponent(s)
     ts, _ = time_lattice(interval, dt)
-    fn = V.norm_function(s, grid)
+    fn = V.norm_function(s)
     return time_lp([fn(float(t)) for t in ts], ts, r)
 
 
@@ -383,13 +380,10 @@ def analytic_patched_norm(schedule: Schedule, r: ExponentLike, s: ExponentLike,
     r, s = as_exponent(r), as_exponent(s)
     n = schedule.n
     alpha, beta = schedule.params.alpha, schedule.params.beta
-    eps_expo = 2 - n * s.reciprocal  # eps_k = k^(+-beta/2) enters at this power
-    if schedule.kind is ScheduleKind.GLOBAL_SUBCRITICAL:
-        k_expo = alpha * r.reciprocal - Fraction(beta, 2) * eps_expo
-        sup_expo = -Fraction(beta, 2) * eps_expo
-    else:
-        k_expo = -alpha * r.reciprocal + Fraction(beta, 2) * eps_expo
-        sup_expo = Fraction(beta, 2) * eps_expo
+    eps_expo = 2 - n * s.reciprocal  # eps_k = k^(-sign beta/2) enters at this power
+    sign = schedule.kind.sign  # window k has length k^(sign alpha)
+    sup_expo = -sign * Fraction(beta, 2) * eps_expo
+    k_expo = sign * alpha * r.reciprocal + sup_expo
     lengths = np.array([w.length for w in schedule.windows])
     eps = np.array([w.eps for w in schedule.windows])
     if r.is_infinite:
@@ -458,14 +452,14 @@ class PartitionResult:
 
 
 def slice_powers(V: PotentialSpec, r: Exponent, s: Exponent, interval: Interval,
-                 dt: float, grid: Optional[Grid] = None) -> Tuple[np.ndarray, float]:
+                 dt: float) -> Tuple[np.ndarray, float]:
     """Midpoint-rule r-th powers of the slice norms on a uniform slice lattice.
 
     Midpoint sampling makes the powers exact for potentials that are constant
     on each slice (window schedules aligned to the lattice).
     """
     ts, dt_eff = time_lattice(interval, dt)
-    fn = V.norm_function(s, grid)
+    fn = V.norm_function(s)
     norms = np.array([fn(float(t)) for t in ts[:-1] + dt_eff / 2.0])
     if r.is_infinite:
         return norms, dt_eff  # interpret values as slice sup norms
@@ -473,8 +467,7 @@ def slice_powers(V: PotentialSpec, r: Exponent, s: Exponent, interval: Interval,
 
 
 def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
-                       interval: Interval, tau: float, dt: float = DEFAULT_DT,
-                       grid: Optional[Grid] = None) -> PartitionResult:
+                       interval: Interval, tau: float, dt: float = DEFAULT_DT) -> PartitionResult:
     """Greedy left-to-right partition into pieces of mixed norm at most tau.
 
     Slices of width ~dt are accumulated until the running r-th power of the
@@ -486,7 +479,7 @@ def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
     r, s = as_exponent(r), as_exponent(s)
     if not tau > 0:
         raise PreconditionError(f"threshold tau must be positive, got {tau}")
-    powers, dt_eff = slice_powers(V, r, s, interval, dt, grid=grid)
+    powers, dt_eff = slice_powers(V, r, s, interval, dt)
     a, b = float(interval[0]), float(interval[1])
     m = len(powers)
     slack = 1.0 + 1e-12

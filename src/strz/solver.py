@@ -78,6 +78,8 @@ SourceLike = Union[None, ComplexField, Callable[[float], ComplexField]]
 DEFAULT_Q_FALLBACK = 8  # endpoint space exponent for n <= 2
 CALIBRATION_FACTOR = 0.5  # largest contraction factor a calibrated tau allows
 CALIBRATION_TOL = 1e-6  # Duhamel stopping tolerance of the calibration runs
+CALIBRATION_CAP = 8.0  # largest tau calibrate_tau returns, tried first
+CALIBRATION_MAXIT = 12  # Duhamel iteration cap of the calibration runs
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 STORE_BUDGET = 64 * 2**20  # bytes of states a run with the default stride keeps
 # duhamel_iterate runs its sweeps as a two-thread wavefront on grids of at
@@ -538,7 +540,7 @@ def solve_global(
     chained constant bound k (1 + 2 c_hat)^k with c_hat = 1 / (2 tau).
     States are kept as in split_step_evolve, and keep_states False keeps
     only the final one."""
-    part = partition_interval(V, r, s, interval, tau, dt, grid=u0.grid)
+    part = partition_interval(V, r, s, interval, tau, dt)
     rec = _Recorder(u0.grid, part.slice_count, pairs, store_every, keep_states)
     logs = []  # per piece: contraction factors, iterations and residual
     state, skip = u0, 0  # a later piece's start repeats the previous terminal state
@@ -564,14 +566,13 @@ def calibrate_tau(
     interval: Interval = (0.0, 1.0),
     r: ExponentLike = 2,
     s: Optional[ExponentLike] = None,
-    cap: float = 8.0,
     rounds: int = 12,
-    maxit: int = 12,
-    probe_state: Optional[ComplexField] = None,
 ) -> float:
-    """Largest tau on a bisection grid such that every reference potential,
-    partitioned at tau, yields Duhamel runs whose contraction factors stay
-    at or below CALIBRATION_FACTOR on every piece.
+    """Largest tau on a bisection grid of [0, CALIBRATION_CAP] such that
+    every reference potential, partitioned at tau, yields Duhamel runs from
+    the L^2-normalized Gaussian on ``grid`` whose contraction factors stay at
+    or below CALIBRATION_FACTOR on every piece (at most CALIBRATION_MAXIT
+    iterations at tolerance CALIBRATION_TOL).
 
     Stands in for the non-constructive smallness threshold (2 C0)^-1: the
     returned tau defines the calibrated constant c_hat = 1/(2 tau) used in
@@ -581,26 +582,25 @@ def calibrate_tau(
         raise PreconditionError("calibration needs at least one reference potential")
     r = as_exponent(r)
     s = as_exponent(s) if s is not None else Exponent(grid.n if grid.n >= 2 else 2)
-    if probe_state is None:
-        g = gaussian_field(grid, sigma=1.0)
-        probe_state = ComplexField(grid, g.values / lq_norm(g, 2))
+    g = gaussian_field(grid, sigma=1.0)
+    probe_state = ComplexField(grid, g.values / lq_norm(g, 2))
 
     def passes(tau: float) -> bool:
         for V in reference_potentials:
             try:
-                part = partition_interval(V, r, s, interval, tau, dt, grid=grid)
+                part = partition_interval(V, r, s, interval, tau, dt)
                 for piece in part.pieces:
                     res = duhamel_iterate(probe_state, None, V, piece, dt,
-                                          CALIBRATION_TOL, maxit)
+                                          CALIBRATION_TOL, CALIBRATION_MAXIT)
                     if res.factors and max(res.factors) > CALIBRATION_FACTOR:
                         return False
             except (NonContractionError, PartitionError):
                 return False
         return True
 
-    if passes(cap):
-        return cap
-    lo, hi = 0.0, cap
+    if passes(CALIBRATION_CAP):
+        return CALIBRATION_CAP
+    lo, hi = 0.0, CALIBRATION_CAP
     for _ in range(rounds):
         mid = 0.5 * (lo + hi)
         if passes(mid):

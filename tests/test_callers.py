@@ -6,11 +6,12 @@
     count too, since they name the targets a traced run patches.
 (b) Every module-level import of a package module is used in that module,
     or is a name ``bench`` patches there.
-(c) Every defaulted parameter of a function or method in the solver and
-    numerics modules is set, by position or keyword, by some call in the
-    package, ``tests``, ``demos`` or ``bench``; a ``*`` or ``**`` splat sets
-    every parameter.  ``config`` and ``cli`` read outside input, and their
-    accessors take defaults by design, so they are out of scope.
+(c) Every defaulted parameter of a function or method in the package
+    modules listed in DEFAULTS_CHECKED is set, by position or keyword, by
+    some call in the package, ``tests``, ``demos`` or ``bench``; a ``*`` or
+    ``**`` splat sets every parameter.  ``ExperimentConfig``'s accessors
+    (``get_*`` and ``_raw``) are exempt: their ``default`` mirrors a config
+    key that may be absent, so it is part of reading outside input.
 """
 import ast
 import math
@@ -22,7 +23,11 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEFAULTS_CHECKED = ("solver", "spectral", "potentials", "groundstate", "counterexamples",
-                    "exponents", "snapshot")
+                    "exponents", "snapshot", "config", "cli")
+
+
+def _accessor(cls, name: str) -> bool:
+    return cls == "ExperimentConfig" and (name.startswith("get_") or name == "_raw")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -98,7 +103,7 @@ def unset_defaults() -> list:
                                         if isinstance(node, ast.ClassDef)]
         for cls, body in scopes:
             for fn in body:
-                if not isinstance(fn, ast.FunctionDef):
+                if not isinstance(fn, ast.FunctionDef) or _accessor(cls, fn.name):
                     continue
                 callees = {fn.name} | ({cls} if fn.name == "__init__" else set())
                 found = [c for callee in callees for c in calls.get(callee, [])]

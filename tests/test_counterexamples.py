@@ -83,13 +83,6 @@ class TestBuildFamily:
         assert len(rs.ratios) == 1
         assert rs.fitted_slope is None
 
-    def test_local_explicit_T(self, base3d):
-        W, u0 = base3d
-        fam = build_family(ScheduleKind.LOCAL, 1, 2, 3, W, u0, K=20, T=10.0)
-        assert fam.schedule.total_time == 10.0
-        with pytest.raises(PreconditionError):
-            build_family(ScheduleKind.LOCAL, 1, 2, 3, W, u0, K=20, T=0.5)
-
 
 class TestGrowthParams:
     @pytest.mark.parametrize(
@@ -241,7 +234,7 @@ class TestPseudoconformal:
     def test_reflect_translate(self, base2d):
         W, u0 = base2d
         _, sampler = pseudoconformal_build(W, u0, 1, F(3, 2), 2, delta=0.25)
-        reflected = reflect_translate(sampler, t0=1.0)
+        reflected = reflect_translate(sampler)
         a = reflected(0.4)
         b = sampler(0.6)
         np.testing.assert_allclose(a.values, np.conj(b.values), atol=1e-14)

@@ -239,7 +239,7 @@ class TestMixedNorm:
         # spatial norm of the last (largest) slice
         sched = step_schedule([(0.0, 1.0, 0.5), (1.0, 1.0, 0.75), (2.0, 1.0, 1.0)])
         V = PatchedRescaledPotential(bump, sched)
-        got = mixed_norm(V, "inf", 2, (0.0, 3.0), dt=0.05, grid=grid1d)
+        got = mixed_norm(V, "inf", 2, (0.0, 3.0), dt=0.05)
         # n=1, s=2: the window factor is eps^(2 - 1/2); largest at eps = 1
         assert got == pytest.approx(lq_norm(bump, 2), rel=1e-12)
 
@@ -432,7 +432,7 @@ class TestPseudoconformalSample:
         # T^(n/s - 2) = T^(-3/2) overflows at T = 1e-320
         g = make_grid(2, 12.0, 64)
         V = PseudoconformalPotential(real_profile(g, gaussian_field(g).values))
-        norm = V.norm_function(Exponent(4), None)
+        norm = V.norm_function(Exponent(4))
         assert math.isfinite(norm(1e-200))
         with pytest.raises(SingularityError, match="overflows"):
             norm(1e-320)
@@ -480,10 +480,18 @@ def brute_force_min_pieces(powers, budget):
 
 
 class TestPartition:
-    def test_zero_single_piece(self, grid1d):
-        part = partition_interval(ZeroPotential(), 2, 2, (0.0, 5.0), tau=0.1, dt=0.1,
-                                  grid=grid1d)
+    def test_zero_single_piece(self):
+        part = partition_interval(ZeroPotential(), 2, 2, (0.0, 5.0), tau=0.1, dt=0.1)
         assert part.pieces == [(0.0, 5.0)]
+
+    def test_grid_free_sum_has_norm_zero(self):
+        # a sum of zero potentials has no grid to norm on, and needs none
+        V = SumPotential(((ZeroPotential(), Exponent(2), Exponent(2)),
+                          (ZeroPotential(), Exponent(4), Exponent(3))))
+        assert mixed_norm(V, 2, 2, (0.0, 1.0), dt=0.1) == 0.0
+        part = partition_interval(V, 2, 2, (0.0, 5.0), tau=0.1, dt=0.1)
+        assert part.pieces == [(0.0, 5.0)]
+        assert part.piece_norms == [0.0]
 
     def test_constant_piece_count(self):
         # tau_len = (tau / (|c| (2L)^(n/s)))^r slices of the interval
@@ -543,9 +551,9 @@ class TestPartition:
             V = PatchedRescaledPotential(bump, sched)
             from strz.potentials import slice_powers
 
-            powers, dt_eff = slice_powers(V, r, s, (0.0, T), dt, grid=grid1d)
+            powers, dt_eff = slice_powers(V, r, s, (0.0, T), dt)
             tau = (max(powers.max(), 1e-12) * rng.uniform(1.2, 6.0)) ** (1 / 2)
-            part = partition_interval(V, r, s, (0.0, T), tau=tau, dt=dt, grid=grid1d)
+            part = partition_interval(V, r, s, (0.0, T), tau=tau, dt=dt)
             # pieces tile exactly
             assert part.pieces[0][0] == 0.0
             assert part.pieces[-1][1] == pytest.approx(T)
@@ -567,6 +575,6 @@ class TestSumTriangle:
                 prof = real_profile(grid1d, a * bump.values.real)
                 terms.append((StaticPotential(prof), Exponent(2), Exponent(3)))
             V = SumPotential(terms=tuple(terms))
-            whole = mixed_norm(V, 2, 3, (0.0, 1.0), dt=0.05, grid=grid1d)
+            whole = mixed_norm(V, 2, 3, (0.0, 1.0), dt=0.05)
             parts = sum(mixed_norm(t, 2, 3, (0.0, 1.0), dt=0.05) for t, _, _ in terms)
             assert whole <= parts * (1 + 1e-12)
