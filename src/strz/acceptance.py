@@ -66,29 +66,23 @@ class Checks:
 
 
 class AcceptanceContext:
-    """Shared expensive objects, built lazily and reused across criteria."""
+    """Shared expensive objects, built lazily once per context and reused
+    across criteria: the standing waves, one per grid, and the growth
+    families built on the 3D one."""
 
-    @cached_property
-    def base3d(self):
-        grid = sp.make_grid(3, 10.0, 32)
-        gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-        return gs.standing_wave_potential(gp)
+    def __init__(self):
+        self._waves = {}
 
-    @cached_property
-    def base3d_fine(self):
-        grid = sp.make_grid(3, 16.0, 64)
-        gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-        return gs.standing_wave_potential(gp)
-
-    @cached_property
-    def base2d(self):
-        grid = sp.make_grid(2, 12.0, 64)
-        gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-        return gs.standing_wave_potential(gp)
+    def standing_wave(self, n: int, L: float, N: int):
+        """(W, u0) of the unit Gaussian weight on make_grid(n, L, N)."""
+        if (n, L, N) not in self._waves:
+            gp = gs.ground_pair(gs.default_weight(sp.make_grid(n, L, N), sigma=1.0))
+            self._waves[n, L, N] = gs.standing_wave_potential(gp)
+        return self._waves[n, L, N]
 
     @cached_property
     def growth_families(self):
-        W, u0 = self.base3d
+        W, u0 = self.standing_wave(3, 10.0, 32)
         fams = {}
         for kind, (r, s) in [
             (ScheduleKind.GLOBAL_SUBCRITICAL, (4, 6)),
@@ -281,9 +275,7 @@ def c04_ground_state(ctx: AcceptanceContext) -> Checks:
 
 def c05_standing_wave(ctx: AcceptanceContext) -> Checks:
     ch = Checks()
-    grid = sp.make_grid(2, 12.0, 128)
-    gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-    W, u0 = gs.standing_wave_potential(gp)
+    W, u0 = ctx.standing_wave(2, 12.0, 128)
     probe = cx.PhaseProbe(u0)
     rep = sv.split_step_evolve(u0, pt.StaticPotential(W), interval=(0.0, 5.0), dt=1e-3,
                                step_probe=probe)
@@ -294,9 +286,8 @@ def c05_standing_wave(ctx: AcceptanceContext) -> Checks:
 
 def c06_contraction_solver(ctx: AcceptanceContext) -> Checks:
     ch = Checks()
-    grid = sp.make_grid(2, 10.0, 32)
-    gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-    W, u0 = gs.standing_wave_potential(gp)
+    W, u0 = ctx.standing_wave(2, 10.0, 32)
+    grid = u0.grid
     refs = [pt.StaticPotential(W),
             pt.StaticPotential(pt.real_profile(grid, 1.5 * W.values.real))]
     tau = sv.calibrate_tau(refs, grid, dt=0.01, interval=(0.0, 1.0), rounds=8)
@@ -443,7 +434,7 @@ def c09_counterexample_divergence(ctx: AcceptanceContext) -> Checks:
 
 def c10_window_crosscheck(ctx: AcceptanceContext) -> Checks:
     ch = Checks()
-    W, u0 = ctx.base3d_fine
+    W, u0 = ctx.standing_wave(3, 16.0, 64)
     fam = cx.build_family(ScheduleKind.GLOBAL_SUBCRITICAL, 4, 6, 3, W, u0, K=3)
     checks = cx.window_crosscheck(fam, [1, 2, 3], dt=8e-3, pairs=[(2, 6), (F(8, 3), 4)])
     for c in checks:
@@ -456,7 +447,7 @@ def c10_window_crosscheck(ctx: AcceptanceContext) -> Checks:
 
 def c11_pseudoconformal(ctx: AcceptanceContext) -> Checks:
     ch = Checks()
-    W, u0 = ctx.base2d
+    W, u0 = ctx.standing_wave(2, 12.0, 64)
     r, s, n = Exponent(1), Exponent(F(3, 2)), 2
     w_snorm = sp.lq_norm(W, s)
     sol_norms = {}
@@ -479,9 +470,7 @@ def c11_pseudoconformal(ctx: AcceptanceContext) -> Checks:
 
     residuals = {}
     for N in (32, 64, 128):
-        grid = sp.make_grid(2, 20.0, N)
-        gp = gs.ground_pair(gs.default_weight(grid, sigma=1.0))
-        Wn, u0n = gs.standing_wave_potential(gp)
+        Wn, u0n = ctx.standing_wave(2, 20.0, N)
         residuals[N] = [cx.pseudoconformal_residual(Wn, u0n, T) for T in (0.3, 0.6, 0.9)]
     for i, T in enumerate((0.3, 0.6, 0.9)):
         ch.ge(f"residual drop 32->64 at T={T}", residuals[32][i] / residuals[64][i], 4.0)

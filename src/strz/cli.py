@@ -51,8 +51,7 @@ from .exponents import (
     scaling_exponent,
 )
 from .groundstate import default_weight, ground_pair, standing_wave_potential
-from .potentials import (ProfilePotential, SumPotential, mixed_norm, partition_interval,
-                         schedule_rows)
+from .potentials import mixed_norm, partition_interval, schedule_rows
 from .snapshot import read_snapshot
 from .solver import calibrate_tau, solve_global, split_step_evolve
 from .spectral import ComplexField, gaussian_field, lq_norm, make_grid
@@ -64,7 +63,7 @@ EXIT_NUMERICAL = 4
 EXIT_VERIFY = 5
 EXIT_IO = 6
 
-_VALIDATION_ERRORS = (ConfigError, PreconditionError, ValueError, TypeError, KeyError)
+_VALIDATION_ERRORS = (ConfigError, PreconditionError)
 _NUMERICAL_ERRORS = (
     CalibrationError,
     ConvergenceError,
@@ -212,12 +211,8 @@ def _load_initial(cfg: ExperimentConfig, grid, base_dir) -> ComplexField:
 
 
 def _check_profile_grids(V, grid) -> None:
-    """ConfigError unless every profile of V, a sum's terms' included, is
-    sampled on grid."""
-    if isinstance(V, SumPotential):
-        for term, _, _ in V.terms:
-            _check_profile_grids(term, grid)
-    elif isinstance(V, ProfilePotential) and V.profile.grid != grid:
+    """ConfigError unless V is sampled on grid (a sum's terms share one grid)."""
+    if V.grid is not None and V.grid != grid:
         raise ConfigError("potential profile grid does not match [grid]")
 
 

@@ -18,15 +18,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DivergentNormError, PreconditionError, RegimeError
+from .errors import DivergentNormError, PreconditionError
 from .exponents import (
     Exponent,
     ExponentLike,
     ScheduleKind,
     ScheduleParams,
+    _require_regime,
     admissible_pair,
     as_exponent,
-    classify_potential,
     global_subcritical_params,
     local_params,
     pseudoconformal_ok,
@@ -88,11 +88,7 @@ def schedule_params_for_growth(kind: ScheduleKind, r: ExponentLike, s: ExponentL
     slowly; this deterministic variant widens the gap (doubling headroom)
     while keeping the convergence inequalities exact.
     """
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not kind.regime:
-        raise RegimeError(f"(r,s)=({r},{s}) is {cls.criticality.value}, wrong regime for {kind.value}")
-    if cls.r.is_infinite:
-        raise PreconditionError("cascade schedules need r < inf")
+    cls = _require_regime(r, s, n, kind.regime, cascade=True)
     gap = 2 * GROWTH_MIN_SLOPE * GROWTH_P_MAX
     rr, rho = cls.r.reciprocal, cls.rho
     if kind is ScheduleKind.GLOBAL_SUBCRITICAL:
@@ -123,14 +119,7 @@ def build_family(
     r, s = as_exponent(r), as_exponent(s)
     if W.grid.n != n or u0.grid != W.grid:
         raise PreconditionError("base profile grids must match the family dimension")
-    if K < 1:
-        raise PreconditionError("need at least one window")
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not kind.regime:
-        raise RegimeError(
-            f"(r,s)=({r},{s}) is {cls.criticality.value}; {kind.value} needs "
-            f"{kind.regime.value}"
-        )
+    _require_regime(r, s, n, kind.regime)
     if params is None:
         params = default_params(kind, r, s, n)
     schedule = make_schedule(kind, params, r, s, n, K)

@@ -217,6 +217,19 @@ def classify_potential(r: ExponentLike, s: ExponentLike, n: int) -> PotentialCla
     return PotentialClass(r=r, s=s, n=n, rho=rho, criticality=crit)
 
 
+def _require_regime(r: ExponentLike, s: ExponentLike, n: int, regime: Criticality,
+                    cascade: bool = False) -> PotentialClass:
+    """classify_potential(r, s, n), refused with RegimeError unless it is of
+    the wanted regime; a cascade schedule also needs r < inf."""
+    cls = classify_potential(r, s, n)
+    if cls.criticality is not regime:
+        raise RegimeError(f"(r,s)=({cls.r},{cls.s}) is {cls.criticality.value}, "
+                          f"need {regime.value}")
+    if cascade and cls.r.is_infinite:
+        raise PreconditionError("cascade schedules need r < inf")
+    return cls
+
+
 def scaling_exponent(r: ExponentLike, s: ExponentLike, n: int) -> Fraction:
     """Exponent sigma with ||V_eps|| = eps^sigma ||V|| under
     V_eps(t,x) = eps^2 V(eps^2 t, eps x); zero exactly on the critical line."""
@@ -227,9 +240,7 @@ def scaling_exponent(r: ExponentLike, s: ExponentLike, n: int) -> Fraction:
 def holder_split_case_a(r: ExponentLike, s: ExponentLike, n: int) -> ExponentPair:
     """The auxiliary admissible pair (p0, q0) used when r in [2, inf):
     1/p0 = 1/2 - 1/r and 1/q0 = (n+2)/(2n) - 1/s."""
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not Criticality.CRITICAL:
-        raise RegimeError(f"(r,s)=({cls.r},{cls.s}) is {cls.criticality.value}, not critical")
+    cls = _require_regime(r, s, n, Criticality.CRITICAL)
     r, s = cls.r, cls.s
     if r < 2 or r.is_infinite:
         raise PreconditionError(f"case A requires r in [2, inf), got {r}")
@@ -246,9 +257,7 @@ def dual_pair_case_b(
 ) -> Tuple[ExponentPair, Tuple[Exponent, Exponent]]:
     """For r in [1,2]: the admissible pair (r', 2s/(s-2)) together with its
     dual (r, 2s/(s+2)); both slots of the dual lie in [1, 2]."""
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not Criticality.CRITICAL:
-        raise RegimeError(f"(r,s)=({cls.r},{cls.s}) is {cls.criticality.value}, not critical")
+    cls = _require_regime(r, s, n, Criticality.CRITICAL)
     r, s = cls.r, cls.s
     if r > 2:
         raise PreconditionError(f"case B requires r in [1, 2], got {r}")
@@ -339,11 +348,7 @@ def global_subcritical_params(r: ExponentLike, s: ExponentLike, n: int) -> Sched
     """Deterministic choice of alpha > beta for the subcritical cascade:
     beta = (1+h)/(1-rho) with h = 1/10, then alpha = beta(1+h2) with h2
     halved from 1/10 until (alpha-beta)/r + beta*rho < beta - 1 holds."""
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not Criticality.SUBCRITICAL:
-        raise RegimeError(f"(r,s)=({cls.r},{cls.s}) is {cls.criticality.value}, need subcritical")
-    if cls.r.is_infinite:
-        raise PreconditionError("cascade schedules need r < inf")
+    cls = _require_regime(r, s, n, Criticality.SUBCRITICAL, cascade=True)
     rho, rr = cls.rho, cls.r.reciprocal
     beta = (1 + _HEADROOM) / (1 - rho)
     h2 = _HEADROOM
@@ -370,11 +375,7 @@ def local_params(
     """
     if kind is ScheduleKind.GLOBAL_SUBCRITICAL:
         raise PreconditionError("use global_subcritical_params for the subcritical regime")
-    cls = classify_potential(r, s, n)
-    if cls.criticality is not Criticality.SUPERCRITICAL:
-        raise RegimeError(f"(r,s)=({cls.r},{cls.s}) is {cls.criticality.value}, need supercritical")
-    if cls.r.is_infinite:
-        raise PreconditionError("cascade schedules need r < inf")
+    cls = _require_regime(r, s, n, Criticality.SUPERCRITICAL, cascade=True)
     rho, rr = cls.rho, cls.r.reciprocal
     beta = (1 + _HEADROOM) / (rho - 1)
     if beta <= 1 + _HEADROOM:

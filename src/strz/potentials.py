@@ -133,12 +133,13 @@ def make_schedule(kind: ScheduleKind, params: ScheduleParams, r: ExponentLike,
 # Potential variants
 #
 # Every variant answers the same questions, so callers never branch on it:
-# ``kind`` (its config name), ``grid`` (its natural evaluation grid, None if
-# it has none), ``field_at`` (V(t) on a grid as real float64 samples, see
-# ``evaluate``), ``norm_function`` (t -> ||V(t)||_s on the variant's own
-# grid, exact per variant where possible; a grid-free potential has norm 0)
-# and ``sample_key`` (the key under which a sampled field may be cached, None
-# for never).
+# ``kind`` (its config name), ``grid`` (the one grid it is sampled on, None
+# if it has none; ``evaluate`` is the one place that checks it), ``field_at``
+# (V(t) on that grid as real float64 samples, see ``evaluate``),
+# ``norm_function`` (t -> ||V(t)||_s on the variant's own grid, exact per
+# variant where possible; a grid-free potential has norm 0) and
+# ``sample_key`` (the key under which a sampled field may be cached, None for
+# never).
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,6 @@ class ProfilePotential:
     def grid(self) -> Optional[Grid]:
         return self.profile.grid
 
-    def _check_grid(self, grid: Grid) -> None:
-        if self.profile.grid != grid:
-            raise PreconditionError(f"{self.kind} potential defined on a different grid")
-
     def sample_key(self, t: float) -> Hashable:
         return None
 
@@ -188,7 +185,6 @@ class StaticPotential(ProfilePotential):
     kind = "static"
 
     def field_at(self, t: float, grid: Grid) -> np.ndarray:
-        self._check_grid(grid)
         return self.profile.values.real
 
     def norm_function(self, s: Exponent) -> NormFunction:
@@ -213,7 +209,6 @@ class PatchedRescaledPotential(ProfilePotential):
             raise PreconditionError("schedule dimension does not match profile grid")
 
     def field_at(self, t: float, grid: Grid) -> np.ndarray:
-        self._check_grid(grid)
         w = self.schedule.window_at(t)
         if w is None:
             return np.zeros(grid.shape)
@@ -241,7 +236,6 @@ class PseudoconformalPotential(ProfilePotential):
     kind = "pseudoconformal"
 
     def field_at(self, t: float, grid: Grid) -> np.ndarray:
-        self._check_grid(grid)
         scale = _pseudoconformal_factor(t, lambda T: 1.0 / T**2)
         profile = self.profile.values.real
         if t == 1.0:
@@ -282,6 +276,8 @@ class SumPotential:
     def __post_init__(self):
         if not self.terms:
             raise PreconditionError("sum potential needs at least one term")
+        if len({term.grid for term, _, _ in self.terms} - {None}) > 1:
+            raise PreconditionError("sum potential terms lie on different grids")
 
     @property
     def grid(self) -> Optional[Grid]:
@@ -323,7 +319,10 @@ def evaluate(V: PotentialSpec, t: float, grid: Grid) -> np.ndarray:
     V(t) is V's stored profile (static V, pseudoconformal V at T = 1) they
     are the read-only view of its real part, else an array the caller owns.
     Rescaled profiles are guarded at the box tolerance
-    spectral.DEFAULT_MASS_TOL."""
+    spectral.DEFAULT_MASS_TOL.  This is the one grid check of the package:
+    PreconditionError unless V's grid is None or the sampling grid."""
+    if V.grid is not None and V.grid != grid:
+        raise PreconditionError(f"{V.kind} potential defined on a different grid")
     return V.field_at(t, grid)
 
 
@@ -477,8 +476,8 @@ def partition_interval(V: PotentialSpec, r: ExponentLike, s: ExponentLike,
     norm, so any offending slice raises CannotPartitionError.
     """
     r, s = as_exponent(r), as_exponent(s)
-    if not tau > 0:
-        raise PreconditionError(f"threshold tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise PreconditionError(f"threshold tau must be positive and finite, got {tau}")
     powers, dt_eff = slice_powers(V, r, s, interval, dt)
     a, b = float(interval[0]), float(interval[1])
     m = len(powers)

@@ -487,6 +487,8 @@ def duhamel_iterate(u0: ComplexField, F: SourceLike, V: PotentialSpec, piece: In
     two or more CPUs, the sweeps run as a two-thread wavefront (_SweepChain),
     bit for bit the serial result.
     """
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol}")
     grid = u0.grid
     times, dt_eff = time_lattice(piece, dt)
     m = len(times) - 1

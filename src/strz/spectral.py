@@ -165,6 +165,8 @@ class ComplexField:
 def gaussian_field(grid: Grid, sigma: float = 1.0, amplitude: float = 1.0,
                    center: Sequence[float] = ()) -> ComplexField:
     c = tuple(center) if center else (0.0,) * grid.n
+    if len(c) != grid.n:
+        raise PreconditionError(f"center needs {grid.n} coordinates, got {len(c)}")
     rsq = sum((x - ci) ** 2 for x, ci in zip(grid.coords(), c))
     return ComplexField(grid, amplitude * np.exp(-rsq / (2.0 * sigma**2)))
 

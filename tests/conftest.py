@@ -1,6 +1,8 @@
 import random
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from strz.exponents import Criticality, Exponent, classify_potential
@@ -46,3 +48,28 @@ def random_critical_pair(rng: random.Random, n: int, r_lo: Fraction, r_hi: Fract
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def worker_ffts(monkeypatch):
+    """Names of the np.fft calls made off the calling thread, in call order.
+
+    The worker thread calls no name that a traced benchmark run patches, so
+    it transforms one axis at a time; the tests that pin that rule read it
+    from this one list."""
+    main = threading.get_ident()
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            if threading.get_ident() != main:
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return calls

@@ -240,6 +240,15 @@ class TestCliBasics:
         assert "groundstate.strz" in summary["files"]
         assert summary["residual"] < 1e-8
 
+    def test_only_strz_validation_errors_exit_3(self, monkeypatch):
+        # a TypeError inside a subcommand is a fault, not bad input
+        def faulty(args):
+            raise TypeError("a fault in the subcommand")
+
+        monkeypatch.setitem(strz.cli._COMMANDS, "admissible", faulty)
+        with pytest.raises(TypeError, match="a fault in the subcommand"):
+            main(["admissible", "--p", "2", "--q", "6", "--n", "3"])
+
 
 class TestPythonDashM:
     """python -m strz, as a source checkout runs the command line."""
@@ -405,8 +414,23 @@ class TestCliSimulate:
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "[grid]" in capsys.readouterr().err
+        # a sum whose terms lie on two grids is refused as it is built
+        want = "sum potential terms lie on different grids" if summed else "[grid]"
+        assert want in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad, word", [
+        (("tau = 1.5", "tau = 1.5\ntol = -1"), "tol"),
+        (("tau = 1.5", "tau = inf"), "tau"),
+    ], ids=["negative-tol", "infinite-tau"])
+    def test_global_request_that_cannot_succeed_exits_3(self, tmp_path, capsys, bad, word):
+        # a negative tol would sweep every piece to maxit (exit 4), and an
+        # infinite tau would write "tau": Infinity, which is not JSON
+        cfg = self.make_config(tmp_path, method="global")
+        cfg.write_text(cfg.read_text().replace(*bad))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert f"{word} must be positive and finite" in capsys.readouterr().err
 
 
 class TestCliSimulateFinalState:

@@ -67,6 +67,20 @@ class TestBuildFamily:
         with pytest.raises(RegimeError):
             build_family(ScheduleKind.LOCAL, 4, 6, 3, W, u0, K=5)
 
+    def test_infinite_r_needs_explicit_params(self, base3d):
+        W, u0 = base3d
+        params = ScheduleParams(alpha=F(2), beta=F(3), kind=ScheduleKind.LOCAL)
+        fam = build_family(ScheduleKind.LOCAL, "inf", 1, 3, W, u0, K=5, params=params)
+        assert fam.analytic_norm.converges
+        with pytest.raises(PreconditionError, match="r < inf") as info:
+            build_family(ScheduleKind.LOCAL, "inf", 1, 3, W, u0, K=5)
+        assert not isinstance(info.value, RegimeError)
+
+    def test_no_window_refused(self, base3d):
+        W, u0 = base3d
+        with pytest.raises(PreconditionError, match="at least one window"):
+            build_family(ScheduleKind.LOCAL, 1, 2, 3, W, u0, K=0)
+
     def test_divergent_params_rejected(self, base3d):
         W, u0 = base3d
         # valid ScheduleParams inequalities are exactly what rules divergence
@@ -102,6 +116,18 @@ class TestGrowthParams:
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
             schedule_params_for_growth(ScheduleKind.LOCAL, 4, 6, 3)
+
+    def test_wrong_regime_names_the_regime_needed(self, base3d):
+        W, u0 = base3d
+        with pytest.raises(RegimeError, match="is subcritical, need supercritical$"):
+            schedule_params_for_growth(ScheduleKind.LOCAL, 4, 6, 3)
+        with pytest.raises(RegimeError, match="is supercritical, need subcritical$"):
+            build_family(ScheduleKind.GLOBAL_SUBCRITICAL, 1, 2, 3, W, u0, K=5)
+
+    def test_infinite_r_refused(self):
+        with pytest.raises(PreconditionError, match="r < inf") as info:
+            schedule_params_for_growth(ScheduleKind.LOCAL, "inf", 1, 3)
+        assert not isinstance(info.value, RegimeError)
 
 
 class TestRatioSeries:

@@ -178,6 +178,30 @@ class TestHolderSplitCaseA:
             assert pair.q.reciprocal == F(n + 2, 2 * n) - s.reciprocal
 
 
+class TestRegimeCheck:
+    """One rule refuses (r, s) of the wrong regime for every construction,
+    and r = inf for the cascade selectors."""
+
+    @pytest.mark.parametrize("build, r, s, n, need", [
+        (holder_split_case_a, 4, 6, 3, "critical"),
+        (dual_pair_case_b, 1, 2, 3, "critical"),
+        (global_subcritical_params, 2, 3, 3, "subcritical"),
+        (global_subcritical_params, 1, 2, 3, "subcritical"),
+        (local_params, 4, 6, 3, "supercritical"),
+        (local_params, 2, 3, 3, "supercritical"),
+    ])
+    def test_wrong_regime(self, build, r, s, n, need):
+        with pytest.raises(RegimeError, match=f"need {need}$"):
+            build(r, s, n)
+
+    @pytest.mark.parametrize("select, s", [(global_subcritical_params, 4),
+                                           (local_params, 1)])
+    def test_selectors_need_finite_r(self, select, s):
+        with pytest.raises(PreconditionError, match="r < inf") as info:
+            select("inf", s, 3)
+        assert not isinstance(info.value, RegimeError)
+
+
 class TestDualPairCaseB:
     def test_worked_examples(self):
         pair, d = dual_pair_case_b(2, 3, 3)

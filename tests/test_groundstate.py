@@ -1,5 +1,4 @@
 import random
-import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +18,8 @@ from strz.groundstate import (
 )
 from strz.potentials import trajectory_mixed_norm
 from strz.spectral import ComplexField, Trajectory, _ksq, gaussian_field, lq_norm, make_grid
+
+from conftest import same_bits
 
 
 def mixture_weight(grid, bumps):
@@ -135,12 +136,6 @@ class TestGroundPair:
             assert gp.mu > 0
 
 
-def same_bits(a, b):
-    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def complex_formula(f, grid, op):
     """The Helmholtz operator as two complex FFTs over the full spectrum."""
     return np.fft.ifftn(op(np.fft.fftn(f), 1.0 + _ksq(grid)))
@@ -179,20 +174,6 @@ ONE_AXIS_FFTS = {"rfft", "fft", "ifft", "irfft"}
 
 
 class TestHelmholtz:
-    @pytest.fixture
-    def worker_ffts(self, monkeypatch):
-        """Names of the np.fft calls made off the calling thread."""
-        main = threading.get_ident()
-        calls = []
-        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
-            def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                if threading.get_ident() != main:
-                    calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, recorded)
-        return calls
-
     @pytest.mark.parametrize("n, N", SPLIT_GRIDS + SERIAL_GRIDS)
     @pytest.mark.parametrize("two_cpus", [True, False])
     def test_bit_identical_to_out_of_place(self, n, N, two_cpus, monkeypatch, worker_ffts):

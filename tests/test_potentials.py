@@ -211,6 +211,22 @@ class TestEvaluate:
         with pytest.raises(PreconditionError):
             evaluate(StaticPotential(bump), 0.0, other)
 
+    def test_sum_terms_on_two_grids_refused(self, bump):
+        # such a sum could never be sampled or normed
+        g = make_grid(1, 16.0, 128)
+        other = real_profile(g, np.zeros(g.shape))
+        with pytest.raises(PreconditionError, match="different grids"):
+            SumPotential(terms=((StaticPotential(bump), Exponent(2), Exponent(2)),
+                                (ZeroPotential(), Exponent(2), Exponent(2)),
+                                (StaticPotential(other), Exponent(2), Exponent(2))))
+
+    def test_evaluate_refuses_a_sum_on_another_grid(self, bump):
+        V = SumPotential(terms=((ZeroPotential(), Exponent(2), Exponent(2)),
+                                (StaticPotential(bump), Exponent(2), Exponent(2))))
+        assert V.grid == bump.grid
+        with pytest.raises(PreconditionError, match="sum potential defined on a different grid"):
+            evaluate(V, 0.0, make_grid(1, 16.0, 128))
+
     def test_mixed_norm_pseudoconformal_singular_interval(self, bump):
         V = PseudoconformalPotential(bump)
         with pytest.raises(SingularityError):
@@ -514,6 +530,12 @@ class TestPartition:
     def test_tau_zero_error(self, grid1d, bump):
         with pytest.raises(PreconditionError):
             partition_interval(StaticPotential(bump), 2, 2, (0.0, 1.0), tau=0.0, dt=0.1)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_not_finite_error(self, grid1d, bump, tau):
+        # tau = inf would make one piece and a summary "tau": Infinity, not JSON
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            partition_interval(StaticPotential(bump), 2, 2, (0.0, 1.0), tau=tau, dt=0.1)
 
     def test_unsplittable_slice(self, grid1d, bump):
         with pytest.raises(UnsplittableSliceError):

@@ -55,6 +55,8 @@ from strz.spectral import (
     strang_step,
 )
 
+from conftest import same_bits
+
 
 @pytest.fixture(scope="module")
 def standing1d():
@@ -463,6 +465,19 @@ class TestDuhamel:
             exact = free_propagate(u0, float(t))
             assert np.abs(s - exact.values).max() < 1e-10
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_tol_that_cannot_stop_refused_before_any_sample(self, standing1d, tol):
+        # with tol <= 0 no sweep could stop: every piece would run to maxit
+        class Unsampled(ZeroPotential):
+            def sample_key(self, t):
+                raise AssertionError("V sampled before tol was checked")
+
+            field_at = sample_key
+
+        _, _, u0 = standing1d
+        with pytest.raises(PreconditionError, match="tol must be positive and finite"):
+            duhamel_iterate(u0, None, Unsampled(), (0.0, 0.5), dt=0.01, tol=tol)
+
     def test_zero_potential_with_source(self, standing1d):
         # Phi does not depend on v when V = 0: fixed point after one
         # corrective application
@@ -844,12 +859,6 @@ class TestSolveGlobal:
         assert max(consts) / min(consts) < 1.5
 
 
-def same_bits(a, b):
-    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def assert_same_piece(got, want):
     assert got.iterations == want.iterations
     assert same_bits(got.factors, want.factors)
@@ -931,20 +940,6 @@ class TestWavefront:
     the even sweeps of a piece run on the caller and the odd ones on
     spectral's worker thread, each one row behind the last, with the serial
     bits, factors, iterations, residual and errors."""
-
-    @pytest.fixture
-    def worker_ffts(self, monkeypatch):
-        """Records every one-axis FFT made off the calling thread."""
-        main = threading.get_ident()
-        calls = []
-        for name in ("fft", "ifft"):
-            def recorded(*args, _fn=getattr(np.fft, name), **kwargs):
-                if threading.get_ident() != main:
-                    calls.append(threading.get_ident())
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, recorded)
-        return calls
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):

@@ -31,6 +31,8 @@ from strz.spectral import (
     strang_step,
 )
 
+from conftest import same_bits
+
 
 def evolved_gaussian(grid, t, sigma=1.0):
     """Closed form of exp(it Lap) applied to exp(-|x|^2 / (2 sigma^2)).
@@ -135,12 +137,6 @@ class TestFreePropagate:
         b = free_propagate(u, 0.75)
         diff = np.abs(a.values - b.values).max()
         assert diff < 1e-12 * np.abs(b.values).max()
-
-
-def same_bits(a, b):
-    """Equal bit for bit, so that +0 and -0 differ (== would pass them)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 PHASE_THETAS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-3, -1e-3, 1.0, -1.0,
@@ -281,20 +277,6 @@ SPLIT_GRIDS = [(3, 64), (2, 512)]  # 2^18 points each: PARALLEL_MIN_POINTS
 class TestSplitStrangStep:
     """Grids of PARALLEL_MIN_POINTS points and up step in two threads when
     two or more CPUs are allowed, with the serial bits either way."""
-
-    @pytest.fixture
-    def worker_ffts(self, monkeypatch):
-        """Records every one-axis FFT made off the calling thread."""
-        main = threading.get_ident()
-        calls = []
-        for name in ("fft", "ifft"):
-            def recorded(*args, _fn=getattr(np.fft, name), **kwargs):
-                if threading.get_ident() != main:
-                    calls.append(threading.get_ident())
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, recorded)
-        return calls
 
     @pytest.mark.parametrize("n, N", SPLIT_GRIDS)
     @pytest.mark.parametrize("with_phase", [False, True])
@@ -445,20 +427,6 @@ class TestRealFourierMultiply:
     points and up run in two threads when two or more CPUs are allowed,
     with the serial formula's bits either way."""
 
-    @pytest.fixture
-    def worker_ffts(self, monkeypatch):
-        """Names of the np.fft calls made off the calling thread."""
-        main = threading.get_ident()
-        calls = []
-        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
-            def recorded(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                if threading.get_ident() != main:
-                    calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, recorded)
-        return calls
-
     @pytest.mark.parametrize("n, N", SPLIT_GRIDS + [(3, 32), (2, 128), (1, 64)])
     @pytest.mark.parametrize("op", [np.multiply, np.divide])
     @pytest.mark.parametrize("two_cpus", [True, False])
@@ -525,6 +493,12 @@ class TestLqNorm:
         g = make_grid(1, 16.0, 256)
         u = gaussian_field(g, sigma=1.0)
         assert lq_norm(u, 2) == pytest.approx(np.pi**0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_gaussian_center_needs_one_coordinate_per_axis(self, center):
+        # zip would drop the missing coordinates: (1.0,) would shift only x
+        with pytest.raises(PreconditionError, match="center needs 3 coordinates"):
+            gaussian_field(make_grid(3, 4.0, 8), center=center)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("q", [1, 2, "8/3", 4, 6, 8, "inf"])
